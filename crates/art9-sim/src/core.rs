@@ -224,12 +224,15 @@ pub(crate) fn mix_map(counts: &[u64; Instruction::OPCODE_COUNT]) -> BTreeMap<&'s
 }
 
 /// The shared `run_for` loop. Each backend's [`Core::run_for`] calls
-/// this with `C = Self`, so the per-step dispatch is static (and
+/// this with `C = Self` and its step generic over the event sink it
+/// locked for the call, so the per-step dispatch is static (and
 /// inlinable) even when the core itself is driven as `dyn Core` — the
-/// virtual call happens once per `run_for`, not once per step.
+/// virtual call and the observer locking happen once per `run_for`, not
+/// once per step.
 pub(crate) fn run_loop<C: Core + ?Sized>(
     core: &mut C,
     budget: Budget,
+    mut step: impl FnMut(&mut C) -> Result<Option<HaltReason>, SimError>,
 ) -> Result<RunSummary, SimError> {
     let mut steps = 0u64;
     loop {
@@ -251,7 +254,7 @@ pub(crate) fn run_loop<C: Core + ?Sized>(
                 halt: None,
             });
         }
-        let halt = core.step()?;
+        let halt = step(core)?;
         steps += 1;
         if halt.is_some() {
             return Ok(RunSummary {

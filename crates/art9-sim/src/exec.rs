@@ -1,14 +1,20 @@
 //! Shared instruction semantics.
 //!
-//! Both simulators (functional and pipelined) delegate here so they
-//! cannot drift apart: the TALU result function, the shift-amount
-//! interpretation, the branch condition, and effective-address
-//! computation live in exactly one place. The pipeline ≡ functional
-//! equivalence property test (crate tests) then checks the *timing*
-//! model, not re-derived semantics.
+//! The simulators delegate here so they cannot drift apart: the TALU
+//! result function, the shift-amount interpretation, the branch
+//! condition, and effective-address computation live in exactly one
+//! place, and [`execute`] is the one definition of a whole
+//! instruction — its register and memory effects, its next PC, and the
+//! observer events it fires — for the functional backend and the
+//! threaded backend's precise and observed path. The pipeline ≡
+//! functional equivalence property test (crate tests) then checks the
+//! *timing* model, not re-derived semantics.
 
 use art9_isa::Instruction;
-use ternary::{Trit, Trits, Word9};
+use ternary::{TernaryError, Trit, Trits, Word9};
+
+use crate::functional::CoreState;
+use crate::observer::{Events, MemWrite, MemoryAccess, RegWrite, Writeback};
 
 /// Interprets a 2-trit balanced shift amount: magnitude |v| in the
 /// direction of the operation for `v ≥ 0`, reversed for `v < 0`
@@ -112,6 +118,154 @@ pub fn control_target(instr: &Instruction, pc: usize, lst: Trit, b: Word9) -> Op
         Jalr { offset, .. } => Some(b.wrapping_add(offset.resize::<9>()).to_i64()),
         _ => None,
     }
+}
+
+/// Reads the operand values an instruction consumes: `(a_val, b_val)`.
+///
+/// `a_val` is the current value of the `Ta` register for instructions
+/// that read it (zero otherwise); `b_val` the `Tb` register value (zero
+/// when the instruction has no `Tb`).
+fn operand_values(instr: &Instruction, state: &CoreState) -> (Word9, Word9) {
+    use Instruction::*;
+    let a_val = match instr {
+        And { a, .. }
+        | Or { a, .. }
+        | Xor { a, .. }
+        | Add { a, .. }
+        | Sub { a, .. }
+        | Sr { a, .. }
+        | Sl { a, .. }
+        | Comp { a, .. }
+        | Andi { a, .. }
+        | Addi { a, .. }
+        | Sri { a, .. }
+        | Sli { a, .. }
+        | Li { a, .. }
+        | Store { a, .. } => state.reg(*a),
+        _ => Word9::ZERO,
+    };
+    let b_val = match instr {
+        Mv { b, .. }
+        | Pti { b, .. }
+        | Nti { b, .. }
+        | Sti { b, .. }
+        | And { b, .. }
+        | Or { b, .. }
+        | Xor { b, .. }
+        | Add { b, .. }
+        | Sub { b, .. }
+        | Sr { b, .. }
+        | Sl { b, .. }
+        | Comp { b, .. }
+        | Beq { b, .. }
+        | Bne { b, .. }
+        | Jalr { b, .. }
+        | Load { b, .. }
+        | Store { b, .. } => state.reg(*b),
+        _ => Word9::ZERO,
+    };
+    (a_val, b_val)
+}
+
+/// Why [`execute`] did not retire its instruction.
+pub(crate) enum ExecFault {
+    /// The TDM access faulted.
+    Mem(TernaryError),
+    /// The control transfer targeted this address, outside the
+    /// instruction memory.
+    Wild(i64),
+}
+
+/// Executes the instruction at `pc` against `state` and returns the
+/// next PC: `pc` itself for a jump-to-self, `text_len` for falling off
+/// the end. `link` is `pc + 1` as a word. `state.pc` is left for the
+/// caller to move.
+///
+/// Events fire in the order the [`Observer`](crate::Observer) contract
+/// fixes: the memory access as it completes, then the control
+/// resolution, the write-back and the retirement. A faulting
+/// instruction fires none of the last three.
+#[inline(always)]
+pub(crate) fn execute<E: Events>(
+    instr: &Instruction,
+    pc: usize,
+    link: Word9,
+    text_len: usize,
+    state: &mut CoreState,
+    ev: &mut E,
+) -> Result<usize, ExecFault> {
+    let (a_val, b_val) = operand_values(instr, state);
+    let result = talu(instr, a_val, b_val, link);
+    // Old destination value, captured before any write so the
+    // write-back event can report the overwritten contents.
+    let dest = instr.writes();
+    let old_reg = if E::ACTIVE {
+        dest.map(|d| state.reg(d))
+    } else {
+        None
+    };
+    let mut mem = None;
+    match *instr {
+        Instruction::Load { a, .. } => {
+            let address = state.tdm.resolve(result).map_err(ExecFault::Mem)?;
+            let v = state.tdm.read(address).expect("resolved in range");
+            state.set_reg(a, v);
+            ev.memory(&MemoryAccess {
+                pc,
+                address,
+                value: v,
+                is_write: false,
+            });
+        }
+        Instruction::Store { .. } => {
+            let address = state.tdm.resolve(result).map_err(ExecFault::Mem)?;
+            let old = state.tdm.read(address).expect("resolved in range");
+            state.tdm.write(address, a_val).expect("resolved in range");
+            ev.memory(&MemoryAccess {
+                pc,
+                address,
+                value: a_val,
+                is_write: true,
+            });
+            mem = Some(MemWrite {
+                address,
+                old,
+                new: a_val,
+            });
+        }
+        _ => {
+            if let Some(d) = dest {
+                state.set_reg(d, result);
+            }
+        }
+    }
+
+    let (next, taken) = match control_target(instr, pc, b_val.lst(), b_val) {
+        Some(target) if target < 0 || target as usize > text_len => {
+            return Err(ExecFault::Wild(target))
+        }
+        Some(target) => (target as usize, true),
+        None => (pc + 1, false),
+    };
+
+    if E::ACTIVE {
+        if instr.is_control_flow() {
+            ev.control(pc, instr, taken, next);
+        }
+        ev.writeback(&Writeback {
+            pc,
+            instr: *instr,
+            reg: dest.map(|d| RegWrite {
+                reg: d,
+                old: old_reg.expect("captured above"),
+                new: state.reg(d),
+            }),
+            mem,
+            bus: result,
+        });
+        ev.retire(pc, instr, state);
+    }
+    Ok(next)
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@ use ternary::{TernaryMemory, Word9};
 use crate::checkpoint::{Checkpoint, Micro};
 use crate::core::{run_loop, Backend, Budget, Core, RunSummary};
 use crate::error::SimError;
-use crate::exec::{control_target, talu};
-use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Writeback};
+use crate::exec::{execute, ExecFault};
+use crate::observer::{with_events, Events, ObserverSet};
 use crate::predecode::PredecodedProgram;
 
 /// Default TDM size in words (matches the 256-word memories behind
@@ -184,13 +184,107 @@ impl CoreState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FunctionalSim {
+    arch: Arch,
+    observers: ObserverSet,
+}
+
+/// The architectural machine that instruction-at-a-time execution
+/// steps: the program, its state and the counters each step settles.
+/// [`FunctionalSim`] is one of these plus its observers;
+/// [`ThreadedSim`](crate::ThreadedSim) steps its own for budget tails,
+/// mid-block entries and observed runs.
+#[derive(Debug, Clone)]
+pub(crate) struct Arch {
     text: Arc<[Instruction]>,
     links: Arc<[Word9]>,
-    state: CoreState,
-    instructions: u64,
-    halted: Option<HaltReason>,
-    mix: [u64; Instruction::OPCODE_COUNT],
-    observers: ObserverSet,
+    pub(crate) state: CoreState,
+    pub(crate) instructions: u64,
+    pub(crate) halted: Option<HaltReason>,
+    pub(crate) mix: [u64; Instruction::OPCODE_COUNT],
+}
+
+impl Arch {
+    pub(crate) fn new(image: &PredecodedProgram, tdm_words: usize) -> Self {
+        Self {
+            text: image.text_arc(),
+            links: image.links_arc(),
+            state: CoreState::with_image(image.data(), tdm_words),
+            instructions: 0,
+            halted: None,
+            mix: [0; Instruction::OPCODE_COUNT],
+        }
+    }
+
+    /// Executes a single instruction through [`execute`], reporting to
+    /// `ev`, and settles the counters and the halt.
+    #[inline]
+    pub(crate) fn step<E: Events>(&mut self, ev: &mut E) -> Result<Option<HaltReason>, SimError> {
+        if let Some(reason) = self.halted {
+            return Ok(Some(reason));
+        }
+        let pc = self.state.pc;
+        let len = self.text.len();
+        if pc == len {
+            self.halted = Some(HaltReason::FellOffEnd);
+            ev.halt(HaltReason::FellOffEnd, self.instructions);
+            return Ok(Some(HaltReason::FellOffEnd));
+        }
+        let instr = self.text[pc];
+        self.instructions += 1;
+        self.mix[instr.opcode()] += 1;
+        // The link word (PC + 1) was precomputed at decode time.
+        let next =
+            execute(&instr, pc, self.links[pc], len, &mut self.state, ev).map_err(|f| match f {
+                ExecFault::Mem(cause) => SimError::MemoryFault { pc, cause },
+                ExecFault::Wild(target) => SimError::PcOutOfRange {
+                    at: self.instructions,
+                    pc: target,
+                    tim_size: len,
+                },
+            })?;
+        let halt = if next == pc {
+            Some(HaltReason::JumpToSelf)
+        } else {
+            self.state.pc = next;
+            (next == len).then_some(HaltReason::FellOffEnd)
+        };
+        if let Some(reason) = halt {
+            self.halted = Some(reason);
+            ev.halt(reason, self.instructions);
+        }
+        Ok(halt)
+    }
+
+    /// The architectural checkpoint of this machine, carrying `mix` as
+    /// its dynamic instruction mix.
+    pub(crate) fn snapshot(
+        &self,
+        backend: Backend,
+        mix: [u64; Instruction::OPCODE_COUNT],
+    ) -> Checkpoint {
+        Checkpoint {
+            backend,
+            text_len: self.text.len(),
+            state: self.state.clone(),
+            retired: self.instructions,
+            halted: self.halted,
+            mix,
+            micro: Micro::Architectural,
+        }
+    }
+
+    pub(crate) fn restore(
+        &mut self,
+        backend: Backend,
+        checkpoint: &Checkpoint,
+    ) -> Result<(), SimError> {
+        checkpoint.guard(backend, self.text.len())?;
+        self.state = checkpoint.state.clone();
+        self.instructions = checkpoint.retired;
+        self.halted = checkpoint.halted;
+        self.mix = checkpoint.mix;
+        Ok(())
+    }
 }
 
 impl FunctionalSim {
@@ -202,12 +296,7 @@ impl FunctionalSim {
         observers: ObserverSet,
     ) -> Self {
         Self {
-            text: image.text_arc(),
-            links: image.links_arc(),
-            state: CoreState::with_image(image.data(), tdm_words),
-            instructions: 0,
-            halted: None,
-            mix: [0; Instruction::OPCODE_COUNT],
+            arch: Arch::new(image, tdm_words),
             observers,
         }
     }
@@ -219,27 +308,27 @@ impl FunctionalSim {
     /// assembled here, off the hot path); mnemonics that never executed
     /// are absent.
     pub fn instruction_mix(&self) -> std::collections::BTreeMap<&'static str, u64> {
-        crate::core::mix_map(&self.mix)
+        crate::core::mix_map(&self.arch.mix)
     }
 
     /// The architectural state (inspectable mid-run).
     pub fn state(&self) -> &CoreState {
-        &self.state
+        &self.arch.state
     }
 
     /// Mutable state access, e.g. to preload registers before a run.
     pub fn state_mut(&mut self) -> &mut CoreState {
-        &mut self.state
+        &mut self.arch.state
     }
 
     /// Instructions executed so far.
     pub fn instructions(&self) -> u64 {
-        self.instructions
+        self.arch.instructions
     }
 
     /// Whether (and why) the machine has halted.
     pub fn halted(&self) -> Option<HaltReason> {
-        self.halted
+        self.arch.halted
     }
 
     /// Executes a single instruction.
@@ -252,137 +341,7 @@ impl FunctionalSim {
     /// [`SimError::PcOutOfRange`] on wild control transfers and
     /// [`SimError::MemoryFault`] on TDM access violations.
     pub fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
-        if let Some(reason) = self.halted {
-            return Ok(Some(reason));
-        }
-        let pc = self.state.pc;
-        if pc == self.text.len() {
-            self.halted = Some(HaltReason::FellOffEnd);
-            if !self.observers.is_empty() {
-                self.observers
-                    .halt(HaltReason::FellOffEnd, self.instructions);
-            }
-            return Ok(Some(HaltReason::FellOffEnd));
-        }
-        let instr = self.text[pc];
-        self.instructions += 1;
-        self.mix[instr.opcode()] += 1;
-
-        let (a_val, b_val) = operand_values(&instr, &self.state);
-        let link = self.links[pc]; // PC + 1, precomputed at decode time
-        let result = talu(&instr, a_val, b_val, link);
-
-        // Old destination value, captured before any write so the
-        // write-back event can report the overwritten contents.
-        let observing = !self.observers.is_empty();
-        let old_reg = if observing {
-            instr.writes().map(|dest| self.state.reg(dest))
-        } else {
-            None
-        };
-        let mut mem_write = None;
-
-        use Instruction::*;
-        match instr {
-            Load { a, .. } => {
-                let v = self
-                    .state
-                    .tdm
-                    .read_word_addr(result)
-                    .map_err(|cause| SimError::MemoryFault { pc, cause })?;
-                self.state.set_reg(a, v);
-                if observing {
-                    let address = self.state.tdm.resolve(result).expect("read succeeded");
-                    self.observers.memory(&MemoryAccess {
-                        pc,
-                        address,
-                        value: v,
-                        is_write: false,
-                    });
-                }
-            }
-            Store { .. } => {
-                let old_cell = if observing {
-                    self.state.tdm.read_word_addr(result).ok()
-                } else {
-                    None
-                };
-                self.state
-                    .tdm
-                    .write_word_addr(result, a_val)
-                    .map_err(|cause| SimError::MemoryFault { pc, cause })?;
-                if observing {
-                    let address = self.state.tdm.resolve(result).expect("write succeeded");
-                    self.observers.memory(&MemoryAccess {
-                        pc,
-                        address,
-                        value: a_val,
-                        is_write: true,
-                    });
-                    mem_write = Some(MemWrite {
-                        address,
-                        old: old_cell.expect("write succeeded"),
-                        new: a_val,
-                    });
-                }
-            }
-            _ => {
-                if let Some(dest) = instr.writes() {
-                    self.state.set_reg(dest, result);
-                }
-            }
-        }
-
-        // Control flow.
-        let lst = b_val.lst();
-        let (next, taken) = match control_target(&instr, pc, lst, b_val) {
-            Some(target) => {
-                if target < 0 || target as usize > self.text.len() {
-                    return Err(SimError::PcOutOfRange {
-                        at: self.instructions,
-                        pc: target,
-                        tim_size: self.text.len(),
-                    });
-                }
-                (target as usize, true)
-            }
-            None => (pc + 1, false),
-        };
-
-        if observing {
-            if instr.is_control_flow() {
-                self.observers.control(pc, &instr, taken, next);
-            }
-            self.observers.writeback(&Writeback {
-                pc,
-                instr,
-                reg: instr.writes().map(|dest| RegWrite {
-                    reg: dest,
-                    old: old_reg.expect("captured above"),
-                    new: self.state.reg(dest),
-                }),
-                mem: mem_write,
-                bus: result,
-            });
-            self.observers.retire(pc, &instr, &self.state);
-        }
-
-        let halt = if next == pc {
-            Some(HaltReason::JumpToSelf)
-        } else if next == self.text.len() {
-            self.state.pc = next;
-            Some(HaltReason::FellOffEnd)
-        } else {
-            self.state.pc = next;
-            None
-        };
-        if let Some(reason) = halt {
-            self.halted = Some(reason);
-            if !self.observers.is_empty() {
-                self.observers.halt(reason, self.instructions);
-            }
-        }
-        Ok(halt)
+        with_events!(self.observers, |ev| self.arch.step(ev))
     }
 
     /// Runs until halt or until `max_steps` instructions have executed.
@@ -392,21 +351,13 @@ impl FunctionalSim {
     /// [`SimError::Timeout`] if the budget is exhausted, plus any fault
     /// from [`FunctionalSim::step`].
     pub fn run(&mut self, max_steps: u64) -> Result<RunResult, SimError> {
-        for _ in 0..max_steps {
-            if let Some(halt) = self.step()? {
-                return Ok(RunResult {
-                    instructions: self.instructions,
-                    halt,
-                });
-            }
-        }
-        if let Some(halt) = self.halted {
-            return Ok(RunResult {
-                instructions: self.instructions,
+        match Core::run_for(self, Budget::Steps(max_steps))?.halt {
+            Some(halt) => Ok(RunResult {
+                instructions: self.arch.instructions,
                 halt,
-            });
+            }),
+            None => Err(SimError::Timeout { limit: max_steps }),
         }
-        Err(SimError::Timeout { limit: max_steps })
     }
 }
 
@@ -420,23 +371,25 @@ impl Core for FunctionalSim {
     }
 
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
-        run_loop(self, budget)
+        with_events!(self.observers, |ev| run_loop(self, budget, |c| c
+            .arch
+            .step(ev)))
     }
 
     fn state(&self) -> &CoreState {
-        &self.state
+        &self.arch.state
     }
 
     fn state_mut(&mut self) -> &mut CoreState {
-        &mut self.state
+        &mut self.arch.state
     }
 
     fn halted(&self) -> Option<HaltReason> {
-        self.halted
+        self.arch.halted
     }
 
     fn retired(&self) -> u64 {
-        self.instructions
+        self.arch.instructions
     }
 
     fn instruction_mix(&self) -> std::collections::BTreeMap<&'static str, u64> {
@@ -444,72 +397,12 @@ impl Core for FunctionalSim {
     }
 
     fn snapshot(&self) -> Checkpoint {
-        Checkpoint {
-            backend: Backend::Functional,
-            text_len: self.text.len(),
-            state: self.state.clone(),
-            retired: self.instructions,
-            halted: self.halted,
-            mix: self.mix,
-            micro: Micro::Architectural,
-        }
+        self.arch.snapshot(Backend::Functional, self.arch.mix)
     }
 
     fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), SimError> {
-        checkpoint.guard(Backend::Functional, self.text.len())?;
-        self.state = checkpoint.state.clone();
-        self.instructions = checkpoint.retired;
-        self.halted = checkpoint.halted;
-        self.mix = checkpoint.mix;
-        Ok(())
+        self.arch.restore(Backend::Functional, checkpoint)
     }
-}
-
-/// Reads the operand values an instruction consumes: `(a_val, b_val)`.
-///
-/// `a_val` is the current value of the `Ta` register for instructions
-/// that read it (zero otherwise); `b_val` the `Tb` register value (zero
-/// when the instruction has no `Tb`).
-pub(crate) fn operand_values(instr: &Instruction, state: &CoreState) -> (Word9, Word9) {
-    use Instruction::*;
-    let a_val = match instr {
-        And { a, .. }
-        | Or { a, .. }
-        | Xor { a, .. }
-        | Add { a, .. }
-        | Sub { a, .. }
-        | Sr { a, .. }
-        | Sl { a, .. }
-        | Comp { a, .. }
-        | Andi { a, .. }
-        | Addi { a, .. }
-        | Sri { a, .. }
-        | Sli { a, .. }
-        | Li { a, .. }
-        | Store { a, .. } => state.reg(*a),
-        _ => Word9::ZERO,
-    };
-    let b_val = match instr {
-        Mv { b, .. }
-        | Pti { b, .. }
-        | Nti { b, .. }
-        | Sti { b, .. }
-        | And { b, .. }
-        | Or { b, .. }
-        | Xor { b, .. }
-        | Add { b, .. }
-        | Sub { b, .. }
-        | Sr { b, .. }
-        | Sl { b, .. }
-        | Comp { b, .. }
-        | Beq { b, .. }
-        | Bne { b, .. }
-        | Jalr { b, .. }
-        | Load { b, .. }
-        | Store { b, .. } => state.reg(*b),
-        _ => Word9::ZERO,
-    };
-    (a_val, b_val)
 }
 
 #[cfg(test)]

@@ -26,11 +26,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The no-observer hot path pays only one branch per event site (an
-//! emptiness check on the observer list); callbacks, locking and
-//! allocation happen only when at least one observer is attached.
+//! A core locks each attached observer once per `run_for`/`step` call
+//! and holds it until the call returns, so inspect observers between
+//! calls (as above). Every backend is generic over the event sink: the
+//! no-observer build compiles its event code away, and callbacks,
+//! locking and allocation happen only when at least one observer is
+//! attached.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use art9_isa::{Instruction, TReg};
 use ternary::Word9;
@@ -148,55 +151,156 @@ pub trait Observer {
 pub type SharedObserver = Arc<Mutex<dyn Observer + Send>>;
 
 /// The observer list a backend carries. Cloning a simulator shares its
-/// observers (the handles are `Arc`s).
+/// observers (the handles are `Arc`s); cloning the set itself is one
+/// reference-count bump, cheap enough to do once per `run_for`.
 #[derive(Clone, Default)]
-pub(crate) struct ObserverSet {
-    list: Vec<SharedObserver>,
+pub(crate) struct ObserverSet(Option<Arc<Attached>>);
+
+#[derive(Clone, Default)]
+struct Attached {
+    /// Each distinct observer once, ordered by address: the order the
+    /// locks are taken in, so cores sharing observers cannot deadlock
+    /// each other, and an observer attached twice is locked once.
+    distinct: Vec<SharedObserver>,
+    /// Delivery order: one index into `distinct` per attachment, so an
+    /// observer attached twice still receives every event twice.
+    order: Vec<usize>,
 }
 
 impl std::fmt::Debug for ObserverSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ObserverSet({})", self.list.len())
+        let n = self.0.as_ref().map_or(0, |a| a.order.len());
+        write!(f, "ObserverSet({n})")
     }
 }
 
 impl ObserverSet {
     pub(crate) fn push(&mut self, obs: SharedObserver) {
-        self.list.push(obs);
+        let mut set = self.0.as_deref().cloned().unwrap_or_default();
+        let address = |o: &SharedObserver| Arc::as_ptr(o) as *const () as usize;
+        let i = match set.distinct.binary_search_by_key(&address(&obs), address) {
+            Ok(i) => i,
+            Err(i) => {
+                for j in set.order.iter_mut().filter(|j| **j >= i) {
+                    *j += 1;
+                }
+                set.distinct.insert(i, obs);
+                i
+            }
+        };
+        set.order.push(i);
+        self.0 = Some(Arc::new(set));
     }
 
-    /// The hot-path guard: event sites fire only when this is `false`.
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.list.is_empty()
-    }
-
-    fn each(&self, mut f: impl FnMut(&mut (dyn Observer + Send))) {
-        for obs in &self.list {
+    /// Locks every attached observer for the duration of one
+    /// `run_for`/`step` call; `None` when nothing is attached, so the
+    /// caller runs with [`NoEvents`].
+    pub(crate) fn lock(&self) -> Option<Locked<'_>> {
+        let set = self.0.as_deref()?;
+        Some(Locked {
             // A poisoned lock (an observer panicked earlier) still
             // yields the data; observation must not take the run down.
-            let mut guard = obs.lock().unwrap_or_else(|p| p.into_inner());
-            f(&mut *guard);
+            guards: set
+                .distinct
+                .iter()
+                .map(|o| o.lock().unwrap_or_else(|p| p.into_inner()))
+                .collect(),
+            order: &set.order,
+        })
+    }
+}
+
+/// Evaluates `$body` with `$ev` bound to the event sink for
+/// `$observers`: `&mut NoEvents` when none are attached, otherwise
+/// `&mut Locked` with every observer locked once for the whole body.
+/// The set is cloned first (one reference-count bump), so the body may
+/// borrow the core mutably.
+macro_rules! with_events {
+    ($observers:expr, |$ev:ident| $body:expr) => {{
+        let observers = $observers.clone();
+        let result = match observers.lock() {
+            None => {
+                let $ev = &mut $crate::observer::NoEvents;
+                $body
+            }
+            Some(mut locked) => {
+                let $ev = &mut locked;
+                $body
+            }
+        };
+        result
+    }};
+}
+pub(crate) use with_events;
+
+/// Where an execution path reports architectural events. Every backend
+/// is generic over it: [`NoEvents`] when no observer is attached (the
+/// compiler then drops all event code, including the capture of old
+/// values), [`Locked`] when some are.
+pub(crate) trait Events {
+    /// `false` only for [`NoEvents`]; guards work done solely to build
+    /// event payloads.
+    const ACTIVE: bool;
+    fn memory(&mut self, access: &MemoryAccess);
+    fn control(&mut self, pc: usize, instr: &Instruction, taken: bool, target: usize);
+    fn writeback(&mut self, wb: &Writeback);
+    fn retire(&mut self, pc: usize, instr: &Instruction, state: &CoreState);
+    fn halt(&mut self, reason: HaltReason, retired: u64);
+}
+
+/// The unobserved event sink: every event is a no-op.
+pub(crate) struct NoEvents;
+
+impl Events for NoEvents {
+    const ACTIVE: bool = false;
+    #[inline(always)]
+    fn memory(&mut self, _: &MemoryAccess) {}
+    #[inline(always)]
+    fn control(&mut self, _: usize, _: &Instruction, _: bool, _: usize) {}
+    #[inline(always)]
+    fn writeback(&mut self, _: &Writeback) {}
+    #[inline(always)]
+    fn retire(&mut self, _: usize, _: &Instruction, _: &CoreState) {}
+    #[inline(always)]
+    fn halt(&mut self, _: HaltReason, _: u64) {}
+}
+
+/// The attached observers with their locks held: forwards each event to
+/// every attachment, in attachment order.
+pub(crate) struct Locked<'a> {
+    guards: Vec<MutexGuard<'a, dyn Observer + Send + 'static>>,
+    order: &'a [usize],
+}
+
+impl Locked<'_> {
+    #[inline]
+    fn each(&mut self, mut f: impl FnMut(&mut (dyn Observer + Send))) {
+        for &i in self.order {
+            f(&mut *self.guards[i]);
         }
     }
+}
 
-    pub(crate) fn retire(&self, pc: usize, instr: &Instruction, state: &CoreState) {
-        self.each(|o| o.on_retire(pc, instr, state));
-    }
+impl Events for Locked<'_> {
+    const ACTIVE: bool = true;
 
-    pub(crate) fn control(&self, pc: usize, instr: &Instruction, taken: bool, target: usize) {
-        self.each(|o| o.on_control(pc, instr, taken, target));
-    }
-
-    pub(crate) fn memory(&self, access: &MemoryAccess) {
+    fn memory(&mut self, access: &MemoryAccess) {
         self.each(|o| o.on_memory(access));
     }
 
-    pub(crate) fn writeback(&self, wb: &Writeback) {
+    fn control(&mut self, pc: usize, instr: &Instruction, taken: bool, target: usize) {
+        self.each(|o| o.on_control(pc, instr, taken, target));
+    }
+
+    fn writeback(&mut self, wb: &Writeback) {
         self.each(|o| o.on_writeback(wb));
     }
 
-    pub(crate) fn halt(&self, reason: HaltReason, retired: u64) {
+    fn retire(&mut self, pc: usize, instr: &Instruction, state: &CoreState) {
+        self.each(|o| o.on_retire(pc, instr, state));
+    }
+
+    fn halt(&mut self, reason: HaltReason, retired: u64) {
         self.each(|o| o.on_halt(reason, retired));
     }
 }
@@ -415,11 +519,31 @@ pub mod observers {
     /// ```
     #[derive(Debug, Clone)]
     pub struct EnergyAccounting {
-        flip_fn: fn(Word9, Word9) -> u32,
+        /// A substitute flip function; `None` is the packed kernel,
+        /// called directly so it inlines.
+        flip_fn: Option<fn(Word9, Word9) -> u32>,
         prev_instr: Word9,
         prev_pc: Word9,
         prev_bus: Word9,
         per_opcode: [OpcodeActivity; Instruction::OPCODE_COUNT],
+        /// The fetch-path words per PC, filled on first retirement
+        /// there: both are pure functions of the PC, so they are
+        /// derived once per address rather than on every retirement.
+        fetch: Vec<Option<FetchWords>>,
+    }
+
+    /// The words the fetch path holds while the instruction at one PC
+    /// retires.
+    #[derive(Debug, Clone, Copy)]
+    struct FetchWords {
+        /// The instruction they were derived from: an accumulator
+        /// reused across programs re-derives an address whose
+        /// instruction changed.
+        instr: Instruction,
+        /// The encoded instruction word.
+        encoded: Word9,
+        /// The PC wrapped to a 9-trit word.
+        pc: Word9,
     }
 
     impl Default for EnergyAccounting {
@@ -432,7 +556,14 @@ pub mod observers {
         /// An accumulator using the packed bitplane flip kernel
         /// ([`Word9::flips_from`]).
         pub fn new() -> Self {
-            Self::with_flip_fn(|next, prev| next.flips_from(&prev))
+            Self {
+                flip_fn: None,
+                prev_instr: Word9::ZERO,
+                prev_pc: Word9::ZERO,
+                prev_bus: Word9::ZERO,
+                per_opcode: [OpcodeActivity::default(); Instruction::OPCODE_COUNT],
+                fetch: Vec::new(),
+            }
         }
 
         /// An accumulator with a substitute flip function — the
@@ -441,12 +572,32 @@ pub mod observers {
         /// are bit-identical to [`EnergyAccounting::new`]'s.
         pub fn with_flip_fn(flip_fn: fn(Word9, Word9) -> u32) -> Self {
             Self {
-                flip_fn,
-                prev_instr: Word9::ZERO,
-                prev_pc: Word9::ZERO,
-                prev_bus: Word9::ZERO,
-                per_opcode: [OpcodeActivity::default(); Instruction::OPCODE_COUNT],
+                flip_fn: Some(flip_fn),
+                ..Self::new()
             }
+        }
+
+        /// The fetch-path words for `instr` retiring at `pc`, from the
+        /// per-PC cache. Addresses past the 9-trit PC range are derived
+        /// every time instead of growing the cache.
+        fn fetch_words(&mut self, pc: usize, instr: &Instruction) -> FetchWords {
+            if let Some(Some(f)) = self.fetch.get(pc) {
+                if f.instr == *instr {
+                    return *f;
+                }
+            }
+            let f = FetchWords {
+                instr: *instr,
+                encoded: art9_isa::encode(instr),
+                pc: Word9::from_i64_wrapping(pc as i64),
+            };
+            if pc < Word9::MODULUS as usize {
+                if pc >= self.fetch.len() {
+                    self.fetch.resize(pc + 1, None);
+                }
+                self.fetch[pc] = Some(f);
+            }
+            f
         }
 
         /// Activity accumulated per opcode, indexed like
@@ -467,7 +618,12 @@ pub mod observers {
 
     impl Observer for EnergyAccounting {
         fn on_writeback(&mut self, wb: &Writeback) {
-            let flip = self.flip_fn;
+            let flip_fn = self.flip_fn;
+            let flip = |next: Word9, prev: Word9| match flip_fn {
+                None => next.flips_from(&prev),
+                Some(f) => f(next, prev),
+            };
+            let fetch = self.fetch_words(wb.pc, &wb.instr);
             let acc = &mut self.per_opcode[wb.instr.opcode()];
             acc.retired += 1;
             if let Some(r) = wb.reg {
@@ -476,13 +632,11 @@ pub mod observers {
             if let Some(m) = wb.mem {
                 acc.tdm += u64::from(flip(m.new, m.old));
             }
-            let encoded = art9_isa::encode(&wb.instr);
-            let pc_word = Word9::from_i64_wrapping(wb.pc as i64);
-            acc.fetch += u64::from(flip(encoded, self.prev_instr));
-            acc.fetch += u64::from(flip(pc_word, self.prev_pc));
+            acc.fetch += u64::from(flip(fetch.encoded, self.prev_instr));
+            acc.fetch += u64::from(flip(fetch.pc, self.prev_pc));
             acc.alu += u64::from(flip(wb.bus, self.prev_bus));
-            self.prev_instr = encoded;
-            self.prev_pc = pc_word;
+            self.prev_instr = fetch.encoded;
+            self.prev_pc = fetch.pc;
             self.prev_bus = wb.bus;
         }
     }
@@ -580,8 +734,8 @@ mod tests {
     fn multiple_observers_see_identical_event_order_on_every_backend() {
         // Two retire logs plus an energy accumulator on the same core:
         // every observer must see the same, complete event stream — in
-        // particular on the threaded backend, whose precise-interpreter
-        // fallback carries the whole observer set.
+        // particular on the threaded backend, whose observed runs step
+        // the shared instruction definition with the whole set locked.
         for backend in Backend::ALL {
             let first = Arc::new(Mutex::new(RetireLog::new()));
             let second = Arc::new(Mutex::new(RetireLog::new()));
@@ -603,6 +757,125 @@ mod tests {
                 "{backend:?}: energy observer missed retirements"
             );
         }
+    }
+
+    /// A countdown long enough for many slices, with a store per
+    /// iteration so every event kind fires.
+    fn long_loop() -> art9_isa::Program {
+        assemble(
+            "LI t2, 5\nLI t3, 40\nloop:\nSTORE t3, t2, 0\nADDI t3, -1\n\
+             MV t7, t3\nCOMP t7, t0\nBEQ t7, +, loop\nJAL t0, 0\n",
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn an_observer_attached_twice_is_locked_once_and_hears_every_event_twice() {
+        for backend in Backend::ALL {
+            let once = Arc::new(Mutex::new(EnergyAccounting::new()));
+            let mut core = SimBuilder::new(&long_loop())
+                .backend(backend)
+                .observer(once.clone())
+                .build();
+            core.run_for(Budget::Steps(100_000)).unwrap();
+            let once = once.lock().unwrap().totals();
+
+            // Same `Arc` twice, next to a retire log attached twice: no
+            // self-deadlock, and every event is delivered per
+            // attachment, as with per-event locking.
+            let energy = Arc::new(Mutex::new(EnergyAccounting::new()));
+            let log = Arc::new(Mutex::new(RetireLog::new()));
+            let mut core = SimBuilder::new(&long_loop())
+                .backend(backend)
+                .observer(energy.clone())
+                .observer(log.clone())
+                .observer(energy.clone())
+                .observer(log.clone())
+                .build();
+            core.run_for(Budget::Steps(50)).unwrap();
+            core.step().unwrap();
+            core.run_for(Budget::Steps(100_000)).unwrap();
+            let twice = energy.lock().unwrap().totals();
+            // The second delivery of a write-back sees the register and
+            // memory flips again, but no fetch or bus change since the
+            // first.
+            assert_eq!(twice.retired, 2 * once.retired, "{backend:?}");
+            assert_eq!(twice.regfile, 2 * once.regfile, "{backend:?}");
+            assert_eq!(twice.tdm, 2 * once.tdm, "{backend:?}");
+            assert_eq!(twice.fetch, once.fetch, "{backend:?}");
+            assert_eq!(twice.alu, once.alu, "{backend:?}");
+            let log = &log.lock().unwrap().log;
+            assert_eq!(log.len() as u64, 2 * core.retired(), "{backend:?}");
+            assert!(log.chunks(2).all(|p| p[0] == p[1]), "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn slices_that_read_the_observer_between_them_match_one_straight_run() {
+        // The service's pattern: run a quantum, lock the observer to
+        // read its totals, run the next quantum.
+        for backend in Backend::ALL {
+            let straight = Arc::new(Mutex::new(EnergyAccounting::new()));
+            let mut core = SimBuilder::new(&long_loop())
+                .backend(backend)
+                .observer(straight.clone())
+                .build();
+            core.run_for(Budget::Steps(100_000)).unwrap();
+            let straight = straight.lock().unwrap().clone();
+
+            let sliced = Arc::new(Mutex::new(EnergyAccounting::new()));
+            let mut core = SimBuilder::new(&long_loop())
+                .backend(backend)
+                .observer(sliced.clone())
+                .build();
+            let mut seen = Vec::new();
+            while core.halted().is_none() {
+                let target = core.retired() + 7;
+                core.run_for(Budget::Retired(target)).unwrap();
+                let between = sliced.lock().unwrap().totals();
+                assert!(between.retired <= core.retired(), "{backend:?}");
+                seen.push(between.retired);
+            }
+            assert!(seen.len() > 10, "{backend:?}: the run took many slices");
+            assert!(seen.windows(2).all(|w| w[0] <= w[1]), "{backend:?}");
+            assert_eq!(
+                sliced.lock().unwrap().per_opcode(),
+                straight.per_opcode(),
+                "{backend:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cores_sharing_observers_in_opposite_orders_do_not_deadlock() {
+        // Each core holds its observers' locks for a whole `run_for`;
+        // the locks are taken in one global order, so two threads
+        // attaching the same pair in opposite orders still finish.
+        let a = Arc::new(Mutex::new(EnergyAccounting::new()));
+        let b = Arc::new(Mutex::new(RetireLog::new()));
+        let ab = SimBuilder::new(&long_loop())
+            .backend(Backend::Threaded)
+            .observer(a.clone())
+            .observer(b.clone());
+        let ba = SimBuilder::new(&long_loop())
+            .observer(b.clone())
+            .observer(a.clone());
+        std::thread::scope(|s| {
+            for builder in [&ab, &ba] {
+                s.spawn(move || {
+                    for _ in 0..200 {
+                        let mut core = builder.build();
+                        while core.halted().is_none() {
+                            let target = core.retired() + 3;
+                            core.run_for(Budget::Retired(target)).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        let retired = a.lock().unwrap().totals().retired;
+        assert_eq!(retired, b.lock().unwrap().log.len() as u64);
+        assert_eq!(retired % 400, 0, "400 identical runs");
     }
 
     #[test]

@@ -34,7 +34,9 @@ use crate::core::{run_loop, Backend, Budget, Core, RunSummary};
 use crate::error::SimError;
 use crate::exec::{control_target, talu};
 use crate::functional::{CoreState, HaltReason};
-use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Writeback};
+use crate::observer::{
+    with_events, Events, MemWrite, MemoryAccess, ObserverSet, RegWrite, Writeback,
+};
 use crate::predecode::PredecodedProgram;
 use crate::stats::PipelineStats;
 use crate::trace::{CycleTrace, StageSnapshot};
@@ -205,6 +207,10 @@ impl PipelinedSim {
     /// [`SimError::MemoryFault`] from the MEM stage and
     /// [`SimError::PcOutOfRange`] from wild control transfers in ID.
     pub fn cycle(&mut self) -> Result<Option<HaltReason>, SimError> {
+        with_events!(self.observers, |ev| self.cycle_with(ev))
+    }
+
+    fn cycle_with<E: Events>(&mut self, ev: &mut E) -> Result<Option<HaltReason>, SimError> {
         if let Some(reason) = self.halted {
             return Ok(Some(reason));
         }
@@ -218,7 +224,7 @@ impl PipelinedSim {
         // ---- WB ------------------------------------------------------
         // Synchronous TRF write; write-through makes the value visible
         // to ID in this same cycle.
-        let observing = !self.observers.is_empty();
+        let observing = E::ACTIVE;
         let carry = self.wb_carry.take();
         let wb_done: Option<(TReg, Word9)> = if let Some(wb) = old_mem_wb {
             self.stats.instructions += 1;
@@ -239,7 +245,7 @@ impl PipelinedSim {
                     bus: wb.value,
                     mem: None,
                 });
-                self.observers.writeback(&Writeback {
+                ev.writeback(&Writeback {
                     pc: wb.pc,
                     instr: wb.instr,
                     reg: dest.map(|d| RegWrite {
@@ -250,7 +256,7 @@ impl PipelinedSim {
                     mem: carry.mem,
                     bus: carry.bus,
                 });
-                self.observers.retire(wb.pc, &wb.instr, &self.state);
+                ev.retire(wb.pc, &wb.instr, &self.state);
             }
             dest.map(|d| (d, wb.value))
         } else {
@@ -270,7 +276,7 @@ impl PipelinedSim {
                         .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?;
                     if observing {
                         let address = self.state.tdm.resolve(mem.result).expect("read succeeded");
-                        self.observers.memory(&MemoryAccess {
+                        ev.memory(&MemoryAccess {
                             pc: mem.pc,
                             address,
                             value: v,
@@ -293,7 +299,7 @@ impl PipelinedSim {
                         .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?;
                     if observing {
                         let address = self.state.tdm.resolve(mem.result).expect("write succeeded");
-                        self.observers.memory(&MemoryAccess {
+                        ev.memory(&MemoryAccess {
                             pc: mem.pc,
                             address,
                             value: mem.store_val,
@@ -437,14 +443,7 @@ impl PipelinedSim {
                                     });
                                 }
                                 self.stats.taken_transfers += 1;
-                                if !self.observers.is_empty() {
-                                    self.observers.control(
-                                        fetched.pc,
-                                        &instr,
-                                        true,
-                                        target as usize,
-                                    );
-                                }
+                                ev.control(fetched.pc, &instr, true, target as usize);
                                 if target as usize == fetched.pc {
                                     // Jump-to-self: halt request.
                                     self.halting = Some(HaltReason::JumpToSelf);
@@ -456,14 +455,7 @@ impl PipelinedSim {
                             }
                             None => {
                                 self.stats.untaken_branches += 1;
-                                if !self.observers.is_empty() {
-                                    self.observers.control(
-                                        fetched.pc,
-                                        &instr,
-                                        false,
-                                        fetched.pc + 1,
-                                    );
-                                }
+                                ev.control(fetched.pc, &instr, false, fetched.pc + 1);
                                 self.issue(fetched, b_val, b_val);
                             }
                         }
@@ -552,9 +544,7 @@ impl PipelinedSim {
         {
             self.halted = self.halting;
             if let Some(reason) = self.halted {
-                if !self.observers.is_empty() {
-                    self.observers.halt(reason, self.stats.instructions);
-                }
+                ev.halt(reason, self.stats.instructions);
             }
             return Ok(self.halted);
         }
@@ -624,7 +614,8 @@ impl Core for PipelinedSim {
     }
 
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
-        run_loop(self, budget)
+        with_events!(self.observers, |ev| run_loop(self, budget, |c| c
+            .cycle_with(ev)))
     }
 
     fn state(&self) -> &CoreState {

@@ -27,7 +27,9 @@ use crate::checkpoint::{Checkpoint, Micro};
 use crate::core::{run_loop, Backend, Budget, Core, RunSummary};
 use crate::error::SimError;
 use crate::functional::{CoreState, HaltReason};
-use crate::observer::{MemWrite, MemoryAccess, ObserverSet, RegWrite, Writeback};
+use crate::observer::{
+    with_events, Events, MemWrite, MemoryAccess, ObserverSet, RegWrite, Writeback,
+};
 use crate::predecode::PredecodedProgram;
 
 /// The per-trit reference interpreter.
@@ -119,16 +121,17 @@ impl ReferenceSim {
     ///
     /// [`SimError`] on wild control transfers or TDM violations.
     pub fn step(&mut self) -> Result<Option<HaltReason>, SimError> {
+        with_events!(self.observers, |ev| self.step_with(ev))
+    }
+
+    fn step_with<E: Events>(&mut self, ev: &mut E) -> Result<Option<HaltReason>, SimError> {
         if let Some(r) = self.halted {
             return Ok(Some(r));
         }
         let pc = self.state.pc;
         if pc == self.text.len() {
             self.halted = Some(HaltReason::FellOffEnd);
-            if !self.observers.is_empty() {
-                self.observers
-                    .halt(HaltReason::FellOffEnd, self.instructions);
-            }
+            ev.halt(HaltReason::FellOffEnd, self.instructions);
             return Ok(Some(HaltReason::FellOffEnd));
         }
         let instr = self.text[pc];
@@ -141,7 +144,7 @@ impl ReferenceSim {
         // Write-back observation inputs, captured before execution:
         // the old destination value and the per-trit result-bus value
         // (the execute arms below mutate the register file in place).
-        let observing = !self.observers.is_empty();
+        let observing = E::ACTIVE;
         let old_reg = if observing {
             instr.writes().map(|dest| self.state.reg(dest))
         } else {
@@ -220,14 +223,12 @@ impl ReferenceSim {
                 let idx = self.resolve(addr, pc)?;
                 let v = self.state.tdm.read(idx).expect("resolved in range");
                 self.state.trf[a.index()] = v;
-                if !self.observers.is_empty() {
-                    self.observers.memory(&MemoryAccess {
-                        pc,
-                        address: idx,
-                        value: v,
-                        is_write: false,
-                    });
-                }
+                ev.memory(&MemoryAccess {
+                    pc,
+                    address: idx,
+                    value: v,
+                    is_write: false,
+                });
             }
             Store { a, b, offset } => {
                 let addr = address_value(trf[b.index()], offset);
@@ -235,8 +236,8 @@ impl ReferenceSim {
                 let v = self.state.trf[a.index()];
                 let old_cell = self.state.tdm.read(idx).expect("resolved in range");
                 self.state.tdm.write(idx, v).expect("resolved in range");
-                if !self.observers.is_empty() {
-                    self.observers.memory(&MemoryAccess {
+                if E::ACTIVE {
+                    ev.memory(&MemoryAccess {
                         pc,
                         address: idx,
                         value: v,
@@ -292,9 +293,9 @@ impl ReferenceSim {
         }
         if observing {
             if instr.is_control_flow() {
-                self.observers.control(pc, &instr, taken, next as usize);
+                ev.control(pc, &instr, taken, next as usize);
             }
-            self.observers.writeback(&Writeback {
+            ev.writeback(&Writeback {
                 pc,
                 instr,
                 reg: instr.writes().map(|dest| RegWrite {
@@ -305,7 +306,7 @@ impl ReferenceSim {
                 mem: mem_write,
                 bus: bus.expect("captured above"),
             });
-            self.observers.retire(pc, &instr, &self.state);
+            ev.retire(pc, &instr, &self.state);
         }
         let next = next as usize;
         let halt = if next == pc {
@@ -319,9 +320,7 @@ impl ReferenceSim {
         };
         if let Some(reason) = halt {
             self.halted = Some(reason);
-            if !self.observers.is_empty() {
-                self.observers.halt(reason, self.instructions);
-            }
+            ev.halt(reason, self.instructions);
         }
         Ok(halt)
     }
@@ -337,7 +336,8 @@ impl Core for ReferenceSim {
     }
 
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
-        run_loop(self, budget)
+        with_events!(self.observers, |ev| run_loop(self, budget, |c| c
+            .step_with(ev)))
     }
 
     fn state(&self) -> &CoreState {

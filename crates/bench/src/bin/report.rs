@@ -202,6 +202,19 @@ fn main() {
             speedup
         );
     }
+    println!(
+        "  {:<14} {:>14} {:>14} {:>14}   (with EnergyAccounting attached)",
+        "observed", "functional", "threaded", "pipelined"
+    );
+    for s in &sims {
+        println!(
+            "  {:<14} {:>10.3e} i/s {:>10.3e} i/s {:>10.3e} c/s",
+            s.workload,
+            s.functional_observed_ips,
+            s.threaded_observed_ips,
+            s.pipelined_observed_cps
+        );
+    }
     // ---- Service scheduler throughput ---------------------------------
     // An in-process multi-tenant load run (docs/SERVICE.md): hundreds
     // of budget-sliced sessions over the full worker fleet, every one

@@ -52,7 +52,20 @@ pub struct SimRow {
     pub threaded_ips: Option<f64>,
     /// Pipelined-simulator cycles per second.
     pub pipelined_cps: f64,
+    /// The three rates with an energy observer attached:
+    /// `functional_observed_ips`, `threaded_observed_ips`,
+    /// `pipelined_observed_cps` (each `None` in documents that predate
+    /// the observed rows).
+    pub observed: [Option<f64>; 3],
 }
+
+/// The observed-rate fields of a simulator row, in [`SimRow::observed`]
+/// order.
+const OBSERVED: [&str; 3] = [
+    "functional_observed_ips",
+    "threaded_observed_ips",
+    "pipelined_observed_cps",
+];
 
 /// One energy row from a bench document's `energy` section.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,15 +227,20 @@ pub fn compare(baseline: &BenchDoc, current: &BenchDoc, max_regress: f64) -> Gat
             ("functional_ips", base.functional_ips, cur.functional_ips),
             ("pipelined_cps", base.pipelined_cps, cur.pipelined_cps),
         ];
-        match (base.threaded_ips, cur.threaded_ips) {
-            (Some(b), Some(c)) => metrics.push(("threaded_ips", b, c)),
-            // A baseline that carries the metric pins it: silently
-            // dropping it from the regenerated document fails the gate
-            // just like dropping a whole workload would.
-            (Some(_), None) => missing.push(format!("{}/threaded_ips", base.workload)),
-            // A baseline without it (pre-threaded-backend) gates only
-            // the two legacy metrics.
-            (None, _) => {}
+        let optional = [("threaded_ips", base.threaded_ips, cur.threaded_ips)]
+            .into_iter()
+            .chain((0..3).map(|k| (OBSERVED[k], base.observed[k], cur.observed[k])));
+        for (metric, base_value, cur_value) in optional {
+            match (base_value, cur_value) {
+                (Some(b), Some(c)) => metrics.push((metric, b, c)),
+                // A baseline that carries the metric pins it: silently
+                // dropping it from the regenerated document fails the
+                // gate just like dropping a whole workload would.
+                (Some(_), None) => missing.push(format!("{}/{metric}", base.workload)),
+                // A baseline without it (older than the threaded
+                // backend or the observed rows) does not gate it.
+                (None, _) => {}
+            }
         }
         for (metric, b, c) in metrics {
             let delta = MetricDelta {
@@ -359,6 +377,7 @@ pub fn parse_bench_json(text: &str) -> Result<BenchDoc, String> {
             threaded_ips: number_field(obj, "threaded_ips"),
             pipelined_cps: number_field(obj, "pipelined_cps")
                 .ok_or_else(|| format!("row without \"pipelined_cps\": {obj}"))?,
+            observed: OBSERVED.map(|key| number_field(obj, key)),
         });
     }
     if simulators.is_empty() {
@@ -499,6 +518,7 @@ mod tests {
                     functional_ips: r.functional_ips * f_scale,
                     threaded_ips: r.threaded_ips.map(|t| t * f_scale),
                     pipelined_cps: r.pipelined_cps * p_scale,
+                    observed: r.observed,
                 })
                 .collect(),
             energy: Vec::new(),
@@ -595,6 +615,11 @@ mod tests {
         // The committed baseline carries the threaded metric, so the
         // gate actually exercises it on every CI run.
         assert!(d.simulators.iter().all(|r| r.threaded_ips.is_some()));
+        // And the observed rates of all three backends.
+        assert!(d
+            .simulators
+            .iter()
+            .all(|r| r.observed.iter().all(|o| o.is_some())));
         // Likewise the measured-energy section: all four paper kernels,
         // DMIPS/W pinned on the Dhrystone row.
         assert_eq!(d.energy.len(), 4);
@@ -651,6 +676,44 @@ mod tests {
         assert!(!r.ok());
         assert!(r.missing.iter().any(|m| m == "bubble-sort/threaded_ips"));
         assert!(r.render(0.25).contains("MISSING"));
+    }
+
+    /// `doc_with_threaded(1.0)` with the observed rates populated at
+    /// `o_scale` times a fifth of the bare rates.
+    fn doc_with_observed(o_scale: f64) -> BenchDoc {
+        let mut d = doc_with_threaded(1.0);
+        for r in &mut d.simulators {
+            let bare = [r.functional_ips, r.threaded_ips.unwrap(), r.pipelined_cps];
+            r.observed = bare.map(|v| Some(v / 5.0 * o_scale));
+        }
+        d
+    }
+
+    #[test]
+    fn observed_rates_parse_and_gate_pin_once() {
+        let row = r#"{"simulators": [{"workload": "gemm", "functional_ips": 6.1e7, "threaded_ips": 2.0e8, "pipelined_cps": 2.1e7, "functional_observed_ips": 1.5e7, "threaded_observed_ips": 1.8e7, "pipelined_observed_cps": 1.0e7}]}"#;
+        let d = parse_bench_json(row).unwrap();
+        assert_eq!(
+            d.simulators[0].observed,
+            [Some(1.5e7), Some(1.8e7), Some(1.0e7)]
+        );
+        assert_eq!(d.simulators[0].threaded_ips, Some(2.0e8));
+
+        // Pre-observed baselines gate only the bare rates.
+        let r = compare(&doc_with_threaded(1.0), &doc_with_observed(1.0), 0.25);
+        assert!(r.ok(), "{}", r.render(0.25));
+        assert_eq!(r.deltas.len(), 6);
+
+        // Once pinned, a slowdown of the observed path fails...
+        let r = compare(&doc_with_observed(1.0), &doc_with_observed(0.5), 0.25);
+        assert!(!r.ok());
+        assert_eq!(r.regressions.len(), 6, "three observed rates x two rows");
+        assert!(r.regressions.iter().all(|d| d.name.contains("_observed_")));
+
+        // ...and so does dropping the rows.
+        let r = compare(&doc_with_observed(1.0), &doc_with_threaded(1.0), 0.25);
+        assert!(!r.ok());
+        assert!(r.missing.iter().any(|m| m == "gemm/threaded_observed_ips"));
     }
 
     #[test]

@@ -68,7 +68,10 @@ pub mod perf {
     use std::hint::black_box;
     use std::time::{Duration, Instant};
 
-    use art9_sim::{PredecodedProgram, SimBuilder};
+    use std::sync::{Arc, Mutex};
+
+    use art9_sim::observers::EnergyAccounting;
+    use art9_sim::{Backend, Budget, PredecodedProgram, SimBuilder};
     use ternary::{arith, Word9};
     use workloads::batch::DEFAULT_MAX_STEPS;
     use workloads::Workload;
@@ -115,6 +118,13 @@ pub mod perf {
         pub threaded_ips: f64,
         /// Pipelined simulator cycles per host second.
         pub pipelined_cps: f64,
+        /// Functional instructions per host second with an
+        /// `EnergyAccounting` observer attached (the Table IV path).
+        pub functional_observed_ips: f64,
+        /// Threaded instructions per host second, energy observed.
+        pub threaded_observed_ips: f64,
+        /// Pipelined cycles per host second, energy observed.
+        pub pipelined_observed_cps: f64,
     }
 
     /// Mean ns per call of `f`, measured over roughly `budget`.
@@ -438,41 +448,71 @@ pub mod perf {
         let mut probe = builder.build_pipelined();
         let cycles = probe.run(DEFAULT_MAX_STEPS).expect("completes").cycles;
 
-        // The three backends are measured in interleaved rounds (each
-        // keeping its fastest round) rather than one contiguous window
-        // apiece: a host-frequency excursion then degrades all three
-        // equally instead of silently skewing the cross-backend
-        // ratios the report exists to track.
+        // The backends, bare and with a fresh energy observer attached
+        // to every run, are measured in interleaved rounds (each keeping its
+        // fastest round) rather than one contiguous window apiece: a
+        // host-frequency excursion then degrades all of them equally
+        // instead of silently skewing the cross-backend ratios the
+        // report exists to track.
         let rounds = 3u32;
         let slice = budget / (3 * rounds);
-        let mut functional_ns = f64::INFINITY;
-        let mut threaded_ns = f64::INFINITY;
-        let mut pipelined_ns = f64::INFINITY;
+        let observed = |backend: Backend| {
+            builder
+                .clone()
+                .backend(backend)
+                .observer(Arc::new(Mutex::new(EnergyAccounting::new())))
+                .build()
+        };
+        let mut best = [f64::INFINITY; 6];
         for _ in 0..rounds {
-            functional_ns = functional_ns.min(ns_per_call(slice, || {
-                let mut sim = builder.build_functional();
-                sim.run(DEFAULT_MAX_STEPS).expect("completes")
-            }));
-            threaded_ns = threaded_ns.min(ns_per_call(slice, || {
-                let mut sim = builder.build_threaded();
-                sim.run(DEFAULT_MAX_STEPS).expect("completes")
-            }));
-            pipelined_ns = pipelined_ns.min(ns_per_call(slice, || {
-                let mut core = builder.build_pipelined();
-                core.run(DEFAULT_MAX_STEPS).expect("completes")
-            }));
+            let runs: [&dyn Fn() -> u64; 6] = [
+                &|| {
+                    let mut sim = builder.build_functional();
+                    sim.run(DEFAULT_MAX_STEPS).expect("completes").instructions
+                },
+                &|| {
+                    let mut sim = builder.build_threaded();
+                    sim.run(DEFAULT_MAX_STEPS).expect("completes").instructions
+                },
+                &|| {
+                    let mut core = builder.build_pipelined();
+                    core.run(DEFAULT_MAX_STEPS).expect("completes").cycles
+                },
+                &|| {
+                    let mut core = observed(Backend::Functional);
+                    core.run_for(Budget::Steps(DEFAULT_MAX_STEPS))
+                        .expect("completes")
+                        .steps
+                },
+                &|| {
+                    let mut core = observed(Backend::Threaded);
+                    core.run_for(Budget::Steps(DEFAULT_MAX_STEPS))
+                        .expect("completes")
+                        .steps
+                },
+                &|| {
+                    let mut core = observed(Backend::Pipelined);
+                    core.run_for(Budget::Steps(DEFAULT_MAX_STEPS))
+                        .expect("completes")
+                        .steps
+                },
+            ];
+            for (ns, run) in best.iter_mut().zip(runs) {
+                *ns = ns.min(ns_per_call(slice, run));
+            }
         }
-        let functional_ips = instructions as f64 * 1e9 / functional_ns;
-        let threaded_ips = instructions as f64 * 1e9 / threaded_ns;
-        let pipelined_cps = cycles as f64 * 1e9 / pipelined_ns;
+        let rate = |count: u64, ns: f64| count as f64 * 1e9 / ns;
 
         SimThroughput {
             workload: w.name,
             instructions,
             cycles,
-            functional_ips,
-            threaded_ips,
-            pipelined_cps,
+            functional_ips: rate(instructions, best[0]),
+            threaded_ips: rate(instructions, best[1]),
+            pipelined_cps: rate(cycles, best[2]),
+            functional_observed_ips: rate(instructions, best[3]),
+            threaded_observed_ips: rate(instructions, best[4]),
+            pipelined_observed_cps: rate(cycles, best[5]),
         }
     }
 
@@ -664,6 +704,12 @@ pub mod perf {
                     s.pipelined_cps / seed
                 );
             }
+            let _ = write!(
+                out,
+                ", \"functional_observed_ips\": {:.4e}, \"threaded_observed_ips\": {:.4e}, \
+                 \"pipelined_observed_cps\": {:.4e}",
+                s.functional_observed_ips, s.threaded_observed_ips, s.pipelined_observed_cps
+            );
             let _ = writeln!(out, "}}{comma}");
         }
         out.push_str("  ]");
@@ -783,6 +829,8 @@ pub mod perf {
             let s = measure_sim_throughput(&w, Duration::from_millis(5));
             assert!(s.functional_ips > 0.0 && s.pipelined_cps > 0.0);
             assert!(s.threaded_ips > 0.0);
+            assert!(s.functional_observed_ips > 0.0 && s.threaded_observed_ips > 0.0);
+            assert!(s.pipelined_observed_cps > 0.0);
             assert!(s.instructions > 0 && s.cycles >= s.instructions);
         }
 
@@ -799,6 +847,9 @@ pub mod perf {
                 functional_ips: 6.6e7,
                 threaded_ips: 2.2e8,
                 pipelined_cps: 2.1e7,
+                functional_observed_ips: 1.5e7,
+                threaded_observed_ips: 1.8e7,
+                pipelined_observed_cps: 1.0e7,
             }];
             let energy = vec![crate::energy::EnergyRow {
                 workload: "dhrystone",
@@ -834,6 +885,9 @@ pub mod perf {
                     functional_ips: 5.5e7,
                     threaded_ips: 1.8e8,
                     pipelined_cps: 1.9e7,
+                    functional_observed_ips: 1.4e7,
+                    threaded_observed_ips: 1.7e7,
+                    pipelined_observed_cps: 0.9e7,
                 },
             };
             let wide = vec![
@@ -851,6 +905,7 @@ pub mod perf {
             assert!(json.contains("\"functional_speedup\""));
             assert!(json.contains("\"threaded_ips\""));
             assert!(json.contains("\"threaded_speedup_vs_functional\": 3.33"));
+            assert!(json.contains("\"threaded_observed_ips\": 1.8000e7"));
             assert!(json.contains("\"energy\""));
             assert!(json.contains("\"energy_nj\""));
             assert!(json.contains("\"epi_alu_pj\""));

@@ -61,10 +61,10 @@ pub enum Oracle {
     /// Pipelined simulator (forwarding off) vs functional, at halt.
     PipelinedNoForwarding,
     /// Trit-flip energy accounting: the same program measured on the
-    /// functional simulator with the packed (`flips_from`) flip kernel
-    /// and on the per-trit reference simulator with the tritwise flip
-    /// reference — every per-opcode, per-structure flip counter must be
-    /// bit-identical.
+    /// functional, threaded and pipelined simulators with the packed
+    /// (`flips_from`) flip kernel and on the per-trit reference
+    /// simulator with the tritwise flip reference — every per-opcode,
+    /// per-structure flip counter must be bit-identical.
     Energy,
     /// The service scheduler's execution model, checked differentially:
     /// a run sliced on random [`Budget::Retired`] quanta and *migrated*
@@ -200,9 +200,10 @@ pub struct OracleStats {
     /// Individual wide-width cross-checks performed (one per packed-op
     /// comparison against its trit-serial or exact-integer reference).
     pub wide_checks: u64,
-    /// Trit flips cross-checked by the energy oracle (packed total;
-    /// the tritwise side counted the same number when the oracle
-    /// passed).
+    /// Trit flips cross-checked by the energy oracle (the packed
+    /// totals of the functional, threaded and pipelined runs summed;
+    /// the tritwise reference counted the same number for each when
+    /// the oracle passed).
     pub energy_flips: u64,
     /// Slices the slice-migrate oracle executed.
     pub slice_migrate_slices: u64,
@@ -644,13 +645,14 @@ fn threaded_oracle(
 }
 
 /// The differential energy oracle: the same program runs on the
-/// functional simulator with an [`EnergyAccounting`] observer using
-/// the packed `flips_from` kernel, and on the per-trit reference
-/// simulator with an observer using the tritwise flip reference
-/// ([`arith::flips_tritwise`]). Both the flip *counting* and the
-/// write-back event stream feeding it are thereby cross-checked — a
-/// backend that mis-reports a write-back value, or a packed XOR that
-/// miscounts flips, shows up as a per-opcode counter mismatch.
+/// per-trit reference simulator with an [`EnergyAccounting`] observer
+/// using the tritwise flip reference ([`arith::flips_tritwise`]), and
+/// on the functional, threaded and pipelined simulators, each with an
+/// observer using the packed `flips_from` kernel. Both the flip
+/// *counting* and every backend's write-back event stream feeding it
+/// are thereby cross-checked — a backend that mis-reports a write-back
+/// value, or a packed XOR that miscounts flips, shows up as a
+/// per-opcode counter mismatch.
 fn energy_oracle(
     builder: &SimBuilder,
     step_budget: u64,
@@ -662,48 +664,59 @@ fn energy_oracle(
             detail,
         })
     };
-    let packed = Arc::new(Mutex::new(EnergyAccounting::new()));
-    let tritwise = Arc::new(Mutex::new(EnergyAccounting::with_flip_fn(|next, prev| {
-        arith::flips_tritwise(next, prev)
-    })));
-    let mut func = builder.clone().observer(packed.clone()).build_functional();
-    let mut reference = builder.clone().observer(tritwise.clone()).build_reference();
-
     // The energy comparison is meaningful only over identical
-    // executions; architectural divergence is the functional-vs-
-    // reference oracle's finding, but it would cascade here, so report
-    // it under this oracle too rather than comparing garbage.
-    let run = |core: &mut dyn Core, side: &str| match core.run_for(Budget::Steps(step_budget)) {
-        Ok(summary) => match summary.halt {
-            Some(h) => Ok(h),
-            None => Err(fail(format!(
-                "{side} run {} {step_budget} steps",
-                Divergence::BUDGET_MARKER
-            ))),
-        },
-        Err(e) => Err(fail(format!("{side} run faulted: {e}"))),
+    // executions; architectural divergence is the other oracles'
+    // finding, but it would cascade here, so report it under this
+    // oracle too rather than comparing garbage. The pipelined backend
+    // steps by cycle, so it gets the same 16x cycle budget as the
+    // pipelined oracles.
+    let run = |backend: Backend, flip_fn: Option<fn(Word9, Word9) -> u32>| {
+        let energy = Arc::new(Mutex::new(match flip_fn {
+            Some(f) => EnergyAccounting::with_flip_fn(f),
+            None => EnergyAccounting::new(),
+        }));
+        let budget = match backend {
+            Backend::Pipelined => step_budget.saturating_mul(16),
+            _ => step_budget,
+        };
+        let mut core = builder
+            .clone()
+            .backend(backend)
+            .observer(energy.clone())
+            .build();
+        match core.run_for(Budget::Steps(budget)) {
+            Ok(summary) => match summary.halt {
+                Some(h) => Ok((h, energy)),
+                None => Err(fail(format!(
+                    "{backend} run {} {budget} steps",
+                    Divergence::BUDGET_MARKER
+                ))),
+            },
+            Err(e) => Err(fail(format!("{backend} run faulted: {e}"))),
+        }
     };
-    let halt_f = match run(&mut func, "functional") {
-        Ok(h) => h,
+    let (halt_r, tritwise) = match run(Backend::Reference, Some(arith::flips_tritwise)) {
+        Ok(r) => r,
         Err(d) => return d,
     };
-    let halt_r = match run(&mut reference, "reference") {
-        Ok(h) => h,
-        Err(d) => return d,
-    };
-    if halt_f != halt_r {
-        return fail(format!(
-            "halt reason {halt_f:?} (functional) vs {halt_r:?} (reference)"
-        ));
-    }
-
-    let packed = packed.lock().expect("observer lock");
     let tritwise = tritwise.lock().expect("observer lock");
-    if let Some(d) = activity_difference(&packed, &tritwise) {
-        return fail(d);
+    for backend in [Backend::Functional, Backend::Threaded, Backend::Pipelined] {
+        let (halt, packed) = match run(backend, None) {
+            Ok(r) => r,
+            Err(d) => return d,
+        };
+        if halt != halt_r {
+            return fail(format!(
+                "halt reason {halt:?} ({backend}) vs {halt_r:?} (reference)"
+            ));
+        }
+        let packed = packed.lock().expect("observer lock");
+        if let Some(d) = activity_difference(&packed, &tritwise) {
+            return fail(format!("{backend}: {d}"));
+        }
+        let t = packed.totals();
+        stats.energy_flips += t.regfile + t.tdm + t.fetch + t.alu;
     }
-    let t = packed.totals();
-    stats.energy_flips += t.regfile + t.tdm + t.fetch + t.alu;
     None
 }
 

@@ -234,6 +234,36 @@ mod tests {
     }
 
     #[test]
+    fn every_admitted_workload_size_prepares_and_the_rest_are_typed_errors() {
+        // The SUBMIT path for every (name, n) the registry admits, plus
+        // the first size past each end: admitted sizes prepare without
+        // a panic, rejected ones fail with a typed error. Each prepare
+        // gets its own cache so the images do not accumulate.
+        let prepare = |name: &str, n: usize| {
+            let n = n.to_string();
+            JobSpec::from_args(&args(&[("workload", name), ("n", &n)]), None)
+                .unwrap()
+                .prepare(&ImageCache::new())
+        };
+        for name in workloads::WORKLOAD_NAMES {
+            let Some((_, range)) = workloads::size_range(name) else {
+                continue;
+            };
+            for n in range.clone() {
+                if let Err(e) = prepare(name, n) {
+                    panic!("{name} n={n} is admitted but failed: {e}");
+                }
+            }
+            for n in [*range.start() - 1, *range.end() + 1] {
+                assert!(
+                    matches!(prepare(name, n), Err(WorkloadError::Unavailable { .. })),
+                    "{name} n={n} should be rejected"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn workload_spec_parses_with_defaults() {
         let spec = JobSpec::from_args(&args(&[("workload", "gemm")]), None).unwrap();
         assert_eq!(

@@ -163,6 +163,33 @@ fn protocol_errors_are_diagnosed_not_fatal() {
 }
 
 #[test]
+fn out_of_range_workload_sizes_are_refused_and_the_connection_survives() {
+    let mut server = start_server(1, 1_000);
+    let addr = server.local_addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+
+    // Each size lies just past its generator's limit: the reply is a
+    // typed ERR instead of a panic that drops the connection.
+    for submit in [
+        "SUBMIT workload=gemm n=8",
+        "SUBMIT workload=bubble-sort n=49",
+        "SUBMIT workload=dhrystone n=5001",
+        "SUBMIT workload=fibonacci n=1",
+        "SUBMIT workload=dot-product n=41",
+    ] {
+        let reply = client.command(submit).unwrap();
+        assert!(reply.starts_with("ERR"), "{submit}: {reply}");
+        assert!(reply.contains("out-of-range"), "{submit}: {reply}");
+    }
+
+    // The same connection still submits and finishes a job.
+    let id = client.submit_inline(SPIN, "").unwrap();
+    assert_eq!(client.wait(id).unwrap().state, "done");
+
+    server.shutdown();
+}
+
+#[test]
 fn cancel_list_and_metrics_roundtrip() {
     let mut server = start_server(1, 50);
     let addr = server.local_addr().to_string();

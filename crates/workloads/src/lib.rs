@@ -42,6 +42,7 @@ pub use error::WorkloadError;
 
 use std::error::Error;
 use std::fmt;
+use std::ops::RangeInclusive;
 
 use art9_sim::CoreState;
 use rv32::{Machine, Rv32Error, Rv32Program};
@@ -261,30 +262,48 @@ pub const WORKLOAD_NAMES: [&str; 8] = [
 /// Builds a workload from its wire name — how the `art9-service` job
 /// schema references this library. `n` overrides the size parameter
 /// (array length, matrix dimension, iteration count, …) and is bounded
-/// per workload so a remote job cannot request an image that overflows
-/// the default TDM or the 9-trit word range; `None` picks the paper's
-/// defaults. Returns `None` for unknown names or out-of-range sizes.
+/// per workload to exactly the sizes its generator accepts (see
+/// [`size_range`]), so a remote job cannot request an image that
+/// overflows the default TDM or the 9-trit word range; `None` picks the
+/// paper's defaults. Returns `None` for unknown names or out-of-range
+/// sizes, never panics.
 pub fn by_name(name: &str, n: Option<usize>) -> Option<Workload> {
-    // (default, max) per workload: bubble-sort and dot-product are
-    // bounded by the 256-word TDM, gemm by its three n×n matrices,
-    // fibonacci by fib(n) staying within the ±9841 word range.
-    let sized = |default: usize, max: usize, build: fn(usize) -> Workload| {
-        let n = n.unwrap_or(default);
-        (1..=max).contains(&n).then(|| build(n))
-    };
-    match name {
-        "bubble-sort" => sized(20, 64, bubble_sort),
-        "gemm" => sized(6, 8, gemm),
-        "sobel" => Some(sobel()),
-        "dhrystone" => sized(PAPER_DHRYSTONE_ITERATIONS, 10_000, dhrystone),
-        "fibonacci" => sized(12, 20, fibonacci),
-        "dot-product" => sized(16, 100, dot_product),
-        // nn-mlp: three n-vectors + two n×n ternary matrices in the
-        // 256-word TDM; assoc-match: table + keys + per-key outputs.
-        "nn-mlp" => sized(8, 10, nn_mlp),
-        "assoc-match" => sized(32, 128, assoc_match),
-        _ => None,
+    if name == "sobel" {
+        // Fixed-size image: no size parameter to honour.
+        return Some(sobel());
     }
+    let (default, range, build) = sized(name)?;
+    let n = n.unwrap_or(default);
+    range.contains(&n).then(|| build(n))
+}
+
+/// The default size and the sizes [`by_name`] admits for a sized
+/// workload (`None` for unknown names and for `sobel`, which has no
+/// size parameter).
+pub fn size_range(name: &str) -> Option<(usize, RangeInclusive<usize>)> {
+    sized(name).map(|(default, range, _)| (default, range))
+}
+
+/// A sized workload's constructor.
+type Build = fn(usize) -> Workload;
+
+/// The sized workloads: default, admitted range and generator. The
+/// ranges are the generators' own: bubble-sort and dot-product are
+/// bounded by the 256-word TDM, gemm by its three n×n matrices,
+/// fibonacci by fib(n) staying within the ±9841 word range, nn-mlp by
+/// three n-vectors plus two n×n ternary matrices in the TDM,
+/// assoc-match by its table, keys and per-key outputs.
+fn sized(name: &str) -> Option<(usize, RangeInclusive<usize>, Build)> {
+    Some(match name {
+        "bubble-sort" => (20, 2..=48, bubble_sort),
+        "gemm" => (6, 2..=7, gemm),
+        "dhrystone" => (PAPER_DHRYSTONE_ITERATIONS, 1..=5000, dhrystone),
+        "fibonacci" => (12, 2..=20, fibonacci),
+        "dot-product" => (16, 1..=40, dot_product),
+        "nn-mlp" => (8, 1..=10, nn_mlp),
+        "assoc-match" => (32, 1..=128, assoc_match),
+        _ => return None,
+    })
 }
 
 /// Derives an independent sub-seed for `lane` under `seed` (a
@@ -350,6 +369,28 @@ mod tests {
         assert!(by_name("bubble-sort", Some(1000)).is_none());
         // fib(21) would overflow the 9-trit word range.
         assert!(by_name("fibonacci", Some(21)).is_none());
+        // Sizes past the generators' own limits are refused, not
+        // handed to a generator that panics on them.
+        for (name, n) in [
+            ("bubble-sort", 1),
+            ("bubble-sort", 49),
+            ("gemm", 1),
+            ("gemm", 8),
+            ("dhrystone", 5001),
+            ("fibonacci", 1),
+            ("dot-product", 41),
+        ] {
+            assert!(by_name(name, Some(n)).is_none(), "{name} n={n}");
+        }
+        // The sizes the end-to-end benchmark submits stay admitted.
+        for (name, n) in [
+            ("bubble-sort", 48),
+            ("gemm", 7),
+            ("nn-mlp", 10),
+            ("dhrystone", 2000),
+        ] {
+            assert!(by_name(name, Some(n)).is_some(), "{name} n={n}");
+        }
     }
 
     #[test]
