@@ -195,7 +195,7 @@ pub struct FunctionalSim {
 /// mid-block entries and observed runs.
 #[derive(Debug, Clone)]
 pub(crate) struct Arch {
-    text: Arc<[Instruction]>,
+    pub(crate) text: Arc<[Instruction]>,
     links: Arc<[Word9]>,
     pub(crate) state: CoreState,
     pub(crate) instructions: u64,

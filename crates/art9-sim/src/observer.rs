@@ -143,6 +143,18 @@ pub trait Observer {
 
     /// The machine halted after retiring `retired` instructions.
     fn on_halt(&mut self, reason: HaltReason, retired: u64) {}
+
+    /// Hands the core this observer's trit-flip counters, so a backend
+    /// that can count flips itself keeps them while it runs instead of
+    /// delivering events. Returning `Some` promises that every event
+    /// this observer cares about only updates those counters exactly
+    /// the way [`EnergyAccounting`](observers::EnergyAccounting)'s
+    /// packed kernel does. The threaded backend uses them when they
+    /// belong to the only observer attached (see `docs/API.md`); every
+    /// other backend and observer set keeps delivering events.
+    fn flip_counters(&mut self) -> Option<&mut observers::FlipCounters> {
+        None
+    }
 }
 
 /// A shareable observer handle: keep a typed `Arc<Mutex<T>>` clone for
@@ -246,6 +258,11 @@ pub(crate) trait Events {
     fn writeback(&mut self, wb: &Writeback);
     fn retire(&mut self, pc: usize, instr: &Instruction, state: &CoreState);
     fn halt(&mut self, reason: HaltReason, retired: u64);
+    /// The flip counters of the only attached observer, when exactly
+    /// one observer is attached (once) and it hands them over.
+    fn flip_counters(&mut self) -> Option<&mut observers::FlipCounters> {
+        None
+    }
 }
 
 /// The unobserved event sink: every event is a no-op.
@@ -302,6 +319,13 @@ impl Events for Locked<'_> {
 
     fn halt(&mut self, reason: HaltReason, retired: u64) {
         self.each(|o| o.on_halt(reason, retired));
+    }
+
+    fn flip_counters(&mut self) -> Option<&mut observers::FlipCounters> {
+        match self.order {
+            [_] => self.guards[0].flip_counters(),
+            _ => None,
+        }
     }
 }
 
@@ -476,6 +500,42 @@ pub mod observers {
         }
     }
 
+    /// The counters behind [`EnergyAccounting`]: per-opcode activity
+    /// plus the words the fetch path and the result bus held at the
+    /// last retirement, which the next retirement's flips are counted
+    /// against. An observer hands them to a core through
+    /// [`Observer::flip_counters`]; a core that keeps them loads the
+    /// previous words when a `run_for` starts and stores them back when
+    /// it returns, so they read correctly between calls and carry over
+    /// to any other backend.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct FlipCounters {
+        pub(crate) per_opcode: [OpcodeActivity; Instruction::OPCODE_COUNT],
+        /// The encoded instruction word of the last retirement.
+        pub(crate) prev_instr: Word9,
+        /// The PC word of the last retirement.
+        pub(crate) prev_pc: Word9,
+        /// The result-bus word of the last retirement.
+        pub(crate) prev_bus: Word9,
+    }
+
+    impl FlipCounters {
+        /// Activity accumulated per opcode, indexed like
+        /// [`Instruction::MNEMONICS`].
+        pub fn per_opcode(&self) -> &[OpcodeActivity; Instruction::OPCODE_COUNT] {
+            &self.per_opcode
+        }
+
+        /// Activity summed over all opcodes.
+        pub fn totals(&self) -> OpcodeActivity {
+            let mut total = OpcodeActivity::default();
+            for acc in &self.per_opcode {
+                total.absorb(acc);
+            }
+            total
+        }
+    }
+
     /// Measures dynamic switching activity — trit flips per datapath
     /// structure, per opcode — from the [`Writeback`] event stream.
     ///
@@ -522,10 +582,7 @@ pub mod observers {
         /// A substitute flip function; `None` is the packed kernel,
         /// called directly so it inlines.
         flip_fn: Option<fn(Word9, Word9) -> u32>,
-        prev_instr: Word9,
-        prev_pc: Word9,
-        prev_bus: Word9,
-        per_opcode: [OpcodeActivity; Instruction::OPCODE_COUNT],
+        counters: FlipCounters,
         /// The fetch-path words per PC, filled on first retirement
         /// there: both are pure functions of the PC, so they are
         /// derived once per address rather than on every retirement.
@@ -554,14 +611,13 @@ pub mod observers {
 
     impl EnergyAccounting {
         /// An accumulator using the packed bitplane flip kernel
-        /// ([`Word9::flips_from`]).
+        /// ([`Word9::flips_from`]). It hands its counters over
+        /// ([`Observer::flip_counters`]), so a threaded core it is the
+        /// only observer of counts flips inline on whole superblocks.
         pub fn new() -> Self {
             Self {
                 flip_fn: None,
-                prev_instr: Word9::ZERO,
-                prev_pc: Word9::ZERO,
-                prev_bus: Word9::ZERO,
-                per_opcode: [OpcodeActivity::default(); Instruction::OPCODE_COUNT],
+                counters: FlipCounters::default(),
                 fetch: Vec::new(),
             }
         }
@@ -569,7 +625,8 @@ pub mod observers {
         /// An accumulator with a substitute flip function — the
         /// differential energy oracle passes
         /// `ternary::arith::flips_tritwise` here and asserts the totals
-        /// are bit-identical to [`EnergyAccounting::new`]'s.
+        /// are bit-identical to [`EnergyAccounting::new`]'s. It keeps
+        /// its counters to itself: every backend delivers it events.
         pub fn with_flip_fn(flip_fn: fn(Word9, Word9) -> u32) -> Self {
             Self {
                 flip_fn: Some(flip_fn),
@@ -600,19 +657,21 @@ pub mod observers {
             f
         }
 
+        /// The counters: activity per opcode and the words the next
+        /// retirement's flips are counted against.
+        pub fn counters(&self) -> &FlipCounters {
+            &self.counters
+        }
+
         /// Activity accumulated per opcode, indexed like
         /// [`Instruction::MNEMONICS`].
         pub fn per_opcode(&self) -> &[OpcodeActivity; Instruction::OPCODE_COUNT] {
-            &self.per_opcode
+            self.counters.per_opcode()
         }
 
         /// Activity summed over all opcodes.
         pub fn totals(&self) -> OpcodeActivity {
-            let mut total = OpcodeActivity::default();
-            for acc in &self.per_opcode {
-                total.absorb(acc);
-            }
-            total
+            self.counters.totals()
         }
     }
 
@@ -624,7 +683,8 @@ pub mod observers {
                 Some(f) => f(next, prev),
             };
             let fetch = self.fetch_words(wb.pc, &wb.instr);
-            let acc = &mut self.per_opcode[wb.instr.opcode()];
+            let c = &mut self.counters;
+            let acc = &mut c.per_opcode[wb.instr.opcode()];
             acc.retired += 1;
             if let Some(r) = wb.reg {
                 acc.regfile += u64::from(flip(r.new, r.old));
@@ -632,12 +692,21 @@ pub mod observers {
             if let Some(m) = wb.mem {
                 acc.tdm += u64::from(flip(m.new, m.old));
             }
-            acc.fetch += u64::from(flip(fetch.encoded, self.prev_instr));
-            acc.fetch += u64::from(flip(fetch.pc, self.prev_pc));
-            acc.alu += u64::from(flip(wb.bus, self.prev_bus));
-            self.prev_instr = fetch.encoded;
-            self.prev_pc = fetch.pc;
-            self.prev_bus = wb.bus;
+            acc.fetch += u64::from(flip(fetch.encoded, c.prev_instr));
+            acc.fetch += u64::from(flip(fetch.pc, c.prev_pc));
+            acc.alu += u64::from(flip(wb.bus, c.prev_bus));
+            c.prev_instr = fetch.encoded;
+            c.prev_pc = fetch.pc;
+            c.prev_bus = wb.bus;
+        }
+
+        /// Only the packed kernel's counters are handed over: a
+        /// substitute flip function must see every write-back.
+        fn flip_counters(&mut self) -> Option<&mut FlipCounters> {
+            match self.flip_fn {
+                None => Some(&mut self.counters),
+                Some(_) => None,
+            }
         }
     }
 

@@ -36,26 +36,46 @@
 //! instruction boundaries as the architectural interpreters.
 //!
 //! Precise stepping — the budget tail, a mid-block entry, [`Core::step`]
-//! — and every run with observers attached go through the shared
-//! instruction definition in `exec.rs`, the same code the functional
-//! backend runs, so observers see the functional backend's event
-//! sequence by construction. The backend implements the full [`Core`]
-//! contract: exact `instruction_mix` accounting across fused ops, and
-//! bit-identical [`Checkpoint`] snapshot/restore at any architectural
-//! boundary — checkpoints cross-restore between the architectural
-//! backends.
+//! — goes through the shared instruction definition in `exec.rs`, the
+//! same code the functional backend runs, and so does a `run_for` with
+//! observers attached, unless the only one attached hands over its
+//! trit-flip counters ([`Observer::flip_counters`](crate::Observer::flip_counters);
+//! [`EnergyAccounting::new`](crate::observers::EnergyAccounting::new)
+//! does). Then whole superblocks keep running fused and count flips
+//! inline:
+//!
+//! * the op bodies are written once, generic over a [`Sink`] they
+//!   report every register write, TDM write and result-bus value to —
+//!   [`NoFlips`] compiles the reporting away, [`Flips`] adds each
+//!   write's flips (the packed `flips_from` kernel) to the observer's
+//!   per-opcode counters;
+//! * fetch flips between consecutive instructions of a block are static:
+//!   compilation sums them per block and opcode next to the block's
+//!   instruction mix, and a `run_for` folds them in from per-block
+//!   execution counts, the way the mix is folded. Only the block-entry
+//!   edge, against the fetch word the previous block left, is counted
+//!   at run time.
+//!
+//! Observers therefore see the functional backend's event sequence, and
+//! the energy counters come out bit-identical, by construction. The
+//! backend implements the full [`Core`] contract: exact
+//! `instruction_mix` accounting across fused ops, and bit-identical
+//! [`Checkpoint`] snapshot/restore at any architectural boundary —
+//! checkpoints cross-restore between the architectural backends.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use art9_isa::{Instruction, TReg};
-use ternary::{TernaryError, Trit, Word9};
+use ternary::{TernaryError, Trit, Trits, Word9};
 
 use crate::checkpoint::Checkpoint;
 use crate::core::{run_loop, Backend, Budget, Core, RunSummary};
 use crate::error::SimError;
 use crate::exec::shift;
 use crate::functional::{Arch, CoreState, HaltReason, RunResult};
-use crate::observer::{with_events, NoEvents, ObserverSet};
+use crate::observer::observers::FlipCounters;
+use crate::observer::{with_events, Events, NoEvents, ObserverSet};
 use crate::predecode::PredecodedProgram;
 
 /// How control leaves a compiled op. Deliberately register-sized: this
@@ -95,16 +115,35 @@ enum Fault {
     Wild { target: i64, at_pc: u32 },
 }
 
-/// The host code behind one compiled op.
-type ExecFn = fn(&mut Machine<'_>, &Op) -> Step;
+/// The host code behind one compiled op, reporting to sink `S`.
+type ExecFn<S> = fn(&mut Machine<'_, S>, &Op) -> Step;
 
 /// The mutable execution context handed to every [`ExecFn`].
-struct Machine<'m> {
+struct Machine<'m, S> {
     state: &'m mut CoreState,
     icache: &'m mut [InlineCache],
     text_len: usize,
     /// Fault payload parked by an op that returned [`Step::Fault`].
     fault: Option<Fault>,
+    /// Where the op bodies report what they write.
+    sink: S,
+}
+
+impl<S: Sink> Machine<'_, S> {
+    /// Reads register `r`.
+    #[inline(always)]
+    fn r(&self, r: u8) -> Word9 {
+        self.state.trf[r as usize]
+    }
+
+    /// Writes `v` to register `r` as the result of an `opcode`
+    /// instruction, which also drives it onto the result bus.
+    #[inline(always)]
+    fn set(&mut self, r: u8, opcode: u8, v: Word9) {
+        let old = std::mem::replace(&mut self.state.trf[r as usize], v);
+        self.sink.reg(opcode, old, v);
+        self.sink.bus(opcode, v);
+    }
 }
 
 /// One inline-cache entry for a static LOAD/STORE site: the last base
@@ -130,10 +169,12 @@ impl Default for InlineCache {
 
 /// One compiled (possibly fused) instruction with pre-extracted
 /// operands. Unused fields are zero; which fields are live is
-/// determined by `exec`.
+/// determined by `kind`.
 #[derive(Debug, Clone, Copy)]
 struct Op {
-    exec: ExecFn,
+    /// The body of `kind` for [`NoFlips`], cached so the unobserved hot
+    /// loop calls it without a lookup.
+    exec: ExecFn<NoFlips>,
     /// First component's `Ta` register index.
     a: u8,
     /// First component's `Tb` register index.
@@ -163,45 +204,212 @@ struct Op {
     site2: u32,
     /// Address of the (first) instruction.
     pc: u32,
-    /// Architectural instructions this op retires (1 or 2).
-    n: u8,
+    /// Which body runs the op (and so how many instructions it
+    /// retires, [`Kind::n`]).
+    kind: Kind,
     /// Dense opcode of the first component.
     opcode: u8,
-    /// Dense opcode of the second component (`n == 2` only).
+    /// Dense opcode of the second component (fused kinds only).
     opcode2: u8,
 }
+
+// Every image the service caches keeps one op per instruction plus the
+// fused sequences alive: the record stays at its nine words.
+const _: () = assert!(std::mem::size_of::<Op>() <= 72);
 
 /// Where execution continues after a superblock completes without a
 /// control transfer of its own.
 #[derive(Debug, Clone, Copy)]
 enum BlockExit {
     /// The block ends in a control-flow op, which produces its own
-    /// [`Ctl`].
+    /// [`Step`].
     Terminator,
     /// Straight-line fall-through into the next block head.
-    Seq(usize),
+    Seq(u32),
     /// The block's last instruction is the last of the program: falling
     /// through halts ([`HaltReason::FellOffEnd`]).
     OffEnd,
 }
+
+/// Blocks are capped at this many instructions, so per-block opcode
+/// counts fit a [`MixEntry`].
+const MAX_BLOCK_LEN: usize = u16::MAX as usize;
 
 /// One superblock: a maximal straight-line run of instructions entered
 /// only at its head.
 #[derive(Debug)]
 struct Block {
     /// Address of the block head.
-    start: usize,
+    start: u32,
     /// Architectural instructions the block covers (and retires, every
     /// time it executes — the terminator retires whether or not it
     /// takes its transfer).
-    len: usize,
-    /// The fused op sequence the hot path runs.
-    fused: Vec<Op>,
+    len: u32,
+    /// The fused op sequence the hot path runs, as a range of
+    /// [`ThreadedCode::fused`].
+    fused: Range<u32>,
     /// How control leaves when no terminator transfer fires.
     exit: BlockExit,
-    /// Sparse per-opcode retirement counts (sums to `len`), applied in
-    /// one shot when the block completes.
-    mix: Vec<(u8, u32)>,
+    /// Sparse per-opcode shares of the block (counts sum to `len`),
+    /// applied in one shot per completed execution; a range of
+    /// [`ThreadedCode::mix`].
+    mix: Range<u32>,
+    /// The fetch word of the block's first instruction: its flips
+    /// against the word before are the block's one run-time fetch cost.
+    fetch_in: FetchWord,
+    /// The fetch word of the block's last instruction, which the next
+    /// block's entry is counted against.
+    fetch_out: FetchWord,
+}
+
+/// One opcode's share of a block.
+#[derive(Debug, Clone, Copy)]
+struct MixEntry {
+    /// Fetch flips of this opcode's instructions against their in-block
+    /// predecessors (the block's first instruction has none here: its
+    /// entry edge depends on where control came from).
+    fetch: u32,
+    /// The block's instructions with this opcode.
+    count: u16,
+    opcode: u8,
+}
+
+/// The fetch path's two words — the encoded instruction in trits 0–8,
+/// the PC word in trits 9–17 — joined so one flip count covers both.
+type FetchWord = Trits<18>;
+
+/// Joins an encoded instruction word and a PC word into a [`FetchWord`].
+fn fetch_word(instr: Word9, pc: Word9) -> FetchWord {
+    let ((ip, ineg), (pp, pneg)) = (instr.bitplanes(), pc.bitplanes());
+    FetchWord::from_bitplanes(ip | pp << 9, ineg | pneg << 9)
+        .expect("two 9-trit words fill 18 trits")
+}
+
+/// Where the op bodies report what they write. Each body is written
+/// once, generic over it: [`NoFlips`] compiles the reporting away,
+/// [`Flips`] counts trit flips inline.
+trait Sink: Sized {
+    /// `false` only for [`NoFlips`]; guards work done solely to count.
+    const COUNTS: bool;
+    /// The body that runs `op` under this sink.
+    fn body(op: &Op) -> ExecFn<Self>;
+    /// An `opcode` instruction overwrote register value `old` with
+    /// `new`.
+    fn reg(&mut self, opcode: u8, old: Word9, new: Word9);
+    /// A STORE overwrote TDM word `old` with `new`.
+    fn tdm(&mut self, opcode: u8, old: Word9, new: Word9);
+    /// An `opcode` instruction drove `bus` onto the result bus.
+    fn bus(&mut self, opcode: u8, bus: Word9);
+    /// `block`, whose fused ops are `fused`, ran to completion.
+    fn block(&mut self, block: &Block, fused: &[Op]);
+    /// `done` instructions from `start` on, inside one block, retired
+    /// outside a whole-block run — a mid-block tail, or the part of a
+    /// block before a fault — and settle one instruction at a time.
+    fn steps(&mut self, code: &ThreadedCode, text: &[Instruction], start: usize, done: usize);
+}
+
+/// The unobserved sink: every report is a no-op.
+struct NoFlips;
+
+impl Sink for NoFlips {
+    const COUNTS: bool = false;
+    #[inline(always)]
+    fn body(op: &Op) -> ExecFn<Self> {
+        op.exec
+    }
+    #[inline(always)]
+    fn reg(&mut self, _: u8, _: Word9, _: Word9) {}
+    #[inline(always)]
+    fn tdm(&mut self, _: u8, _: Word9, _: Word9) {}
+    #[inline(always)]
+    fn bus(&mut self, _: u8, _: Word9) {}
+    #[inline(always)]
+    fn block(&mut self, _: &Block, _: &[Op]) {}
+    fn steps(&mut self, _: &ThreadedCode, _: &[Instruction], _: usize, _: usize) {}
+}
+
+/// Counts trit flips inline into an energy observer's counters,
+/// borrowed for one `run_fast` call. The previous fetch words are
+/// loaded (joined) when it is made and stored back when it drops, so
+/// the event path — and the next call — continues from them.
+/// Retirements and in-block fetch flips of whole blocks are left to
+/// `ThreadedSim::fold_flips`.
+struct Flips<'c> {
+    counters: &'c mut FlipCounters,
+    fetch: FetchWord,
+}
+
+impl<'c> Flips<'c> {
+    fn new(counters: &'c mut FlipCounters) -> Self {
+        let fetch = fetch_word(counters.prev_instr, counters.prev_pc);
+        Self { counters, fetch }
+    }
+}
+
+impl Drop for Flips<'_> {
+    fn drop(&mut self) {
+        let (pos, neg) = self.fetch.bitplanes();
+        let word = |p: u64, n: u64| Word9::from_bitplanes(p & 0x1ff, n & 0x1ff).expect("9 trits");
+        self.counters.prev_instr = word(pos, neg);
+        self.counters.prev_pc = word(pos >> 9, neg >> 9);
+    }
+}
+
+impl Sink for Flips<'_> {
+    const COUNTS: bool = true;
+    #[inline(always)]
+    fn body(op: &Op) -> ExecFn<Self> {
+        op.kind.body()
+    }
+    #[inline(always)]
+    fn reg(&mut self, opcode: u8, old: Word9, new: Word9) {
+        self.counters.per_opcode[opcode as usize].regfile += u64::from(new.flips_from(&old));
+    }
+    #[inline(always)]
+    fn tdm(&mut self, opcode: u8, old: Word9, new: Word9) {
+        self.counters.per_opcode[opcode as usize].tdm += u64::from(new.flips_from(&old));
+    }
+    #[inline(always)]
+    fn bus(&mut self, opcode: u8, bus: Word9) {
+        let c = &mut *self.counters;
+        c.per_opcode[opcode as usize].alu += u64::from(bus.flips_from(&c.prev_bus));
+        c.prev_bus = bus;
+    }
+    #[inline(always)]
+    fn block(&mut self, block: &Block, fused: &[Op]) {
+        let first = &mut self.counters.per_opcode[fused[0].opcode as usize];
+        first.fetch += u64::from(block.fetch_in.flips_from(&self.fetch));
+        self.fetch = block.fetch_out;
+    }
+    fn steps(&mut self, code: &ThreadedCode, text: &[Instruction], start: usize, done: usize) {
+        if done == 0 {
+            return;
+        }
+        let word = |pc: usize| {
+            fetch_word(
+                art9_isa::encode(&text[pc]),
+                Word9::from_i64_wrapping(pc as i64),
+            )
+        };
+        // Only the first edge depends on where control came from; the
+        // others are the block's static in-block edges.
+        let first = &mut self.counters.per_opcode[text[start].opcode()];
+        first.fetch += u64::from(word(start).flips_from(&self.fetch));
+        for (pc, instr) in text.iter().enumerate().skip(start).take(done) {
+            let acc = &mut self.counters.per_opcode[instr.opcode()];
+            acc.retired += 1;
+            if pc > start {
+                acc.fetch += u64::from(code.fetch_flips[pc]);
+            }
+        }
+        let last = start + done - 1;
+        let block = &code.blocks[code.block_of[last] as usize];
+        self.fetch = if last + 1 == (block.start + block.len) as usize {
+            block.fetch_out
+        } else {
+            word(last)
+        };
+    }
 }
 
 /// The compiled program: shared, immutable, compiled once per
@@ -212,7 +420,14 @@ pub(crate) struct ThreadedCode {
     /// One unfused op per pc — the unfused tail of a block entered
     /// mid-way.
     ops: Vec<Op>,
-    blocks: Vec<Block>,
+    blocks: Box<[Block]>,
+    /// Every block's fused op sequence, back to back in block order.
+    fused: Vec<Op>,
+    /// Every block's per-opcode shares, back to back in block order.
+    mix: Vec<MixEntry>,
+    /// pc → fetch flips against pc − 1, which the instructions of a
+    /// block that ran one op at a time count from.
+    fetch_flips: Vec<u8>,
     /// pc → block index when pc is a block head, `u32::MAX` otherwise.
     block_idx: Vec<u32>,
     /// pc → index of the covering block, for every pc. Lets a dynamic
@@ -224,119 +439,157 @@ pub(crate) struct ThreadedCode {
     sites: usize,
 }
 
+/// Declares the op bodies: the [`Kind`] an [`Op`] stores to name its
+/// body, and each body's instantiation for any [`Sink`].
+macro_rules! op_kinds {
+    (single: $($s:ident),+; fused: $($f:ident),+ $(,)?) => {
+        /// Which body an [`Op`] runs.
+        #[allow(non_camel_case_types)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        enum Kind {
+            $($s,)+
+            $($f,)+
+        }
+
+        impl Kind {
+            /// This kind's body, reporting to `S`.
+            #[inline(always)]
+            fn body<S: Sink>(self) -> ExecFn<S> {
+                match self {
+                    $(Kind::$s => $s::<S>,)+
+                    $(Kind::$f => $f::<S>,)+
+                }
+            }
+
+            /// Architectural instructions an op of this kind retires.
+            fn n(self) -> u8 {
+                match self {
+                    $(Kind::$f)|+ => 2,
+                    _ => 1,
+                }
+            }
+        }
+    };
+}
+
+op_kinds! {
+    single: x_mv, x_pti, x_nti, x_sti, x_and, x_or, x_xor, x_add, x_sub,
+        x_sr, x_sl, x_comp, x_andi, x_addi, x_shl_k, x_shr_k, x_const, x_li,
+        x_beq, x_bne, x_jal, x_jalr, x_load, x_store;
+    fused: x_and_comp, x_or_comp, x_xor_comp, x_mv_comp, x_addi_mv,
+        x_add_comp, x_sub_comp, x_mv_mv, x_mv_addi, x_addi_addi, x_comp_beq,
+        x_comp_bne, x_add_store, x_addi_store, x_mv_store, x_add_load,
+        x_addi_load, x_mv_load, x_load_load, x_load_store, x_store_load,
+        x_store_store, x_load_mv, x_store_mv, x_load_comp, x_load_add,
+        x_load_addi, x_add_add, x_sub_li, x_li_sub,
+}
+
 // --- compiled op bodies --------------------------------------------------
 //
 // Each body mirrors `talu` + the functional step for exactly one
 // instruction (or one fused pair), with every decode-time quantity
-// pre-extracted into the `Op`. The differential fuzz oracles and the
-// cross-backend property tests hold these to the shared semantics in
-// `exec.rs`.
+// pre-extracted into the `Op`, and reports each write to the sink as
+// it lands. The differential fuzz oracles and the cross-backend
+// property tests hold these to the shared semantics in `exec.rs`, and
+// the energy oracle holds the reports to its write-back events.
 
-fn x_mv(m: &mut Machine, op: &Op) -> Step {
-    m.state.trf[op.a as usize] = m.state.trf[op.b as usize];
+fn x_mv<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.b));
     Step::Next
 }
 
-fn x_pti(m: &mut Machine, op: &Op) -> Step {
-    m.state.trf[op.a as usize] = m.state.trf[op.b as usize].pti();
+fn x_pti<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.b).pti());
     Step::Next
 }
 
-fn x_nti(m: &mut Machine, op: &Op) -> Step {
-    m.state.trf[op.a as usize] = m.state.trf[op.b as usize].nti();
+fn x_nti<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.b).nti());
     Step::Next
 }
 
-fn x_sti(m: &mut Machine, op: &Op) -> Step {
-    m.state.trf[op.a as usize] = m.state.trf[op.b as usize].sti();
+fn x_sti<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.b).sti());
     Step::Next
 }
 
-fn x_and(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].and(t[op.b as usize]);
+fn x_and<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).and(m.r(op.b)));
     Step::Next
 }
 
-fn x_or(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].or(t[op.b as usize]);
+fn x_or<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).or(m.r(op.b)));
     Step::Next
 }
 
-fn x_xor(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].xor(t[op.b as usize]);
+fn x_xor<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).xor(m.r(op.b)));
     Step::Next
 }
 
-fn x_add(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(t[op.b as usize]);
+fn x_add<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(m.r(op.b)));
     Step::Next
 }
 
-fn x_sub(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_sub(t[op.b as usize]);
+fn x_sub<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).wrapping_sub(m.r(op.b)));
     Step::Next
 }
 
-fn x_sr(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    let amt = t[op.b as usize].field::<2>(0);
-    t[op.a as usize] = shift(t[op.a as usize], false, amt);
+fn x_sr<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    let amt = m.r(op.b).field::<2>(0);
+    m.set(op.a, op.opcode, shift(m.r(op.a), false, amt));
     Step::Next
 }
 
-fn x_sl(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    let amt = t[op.b as usize].field::<2>(0);
-    t[op.a as usize] = shift(t[op.a as usize], true, amt);
+fn x_sl<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    let amt = m.r(op.b).field::<2>(0);
+    m.set(op.a, op.opcode, shift(m.r(op.a), true, amt));
     Step::Next
 }
 
-fn x_comp(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].compare(t[op.b as usize]);
+fn x_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).compare(m.r(op.b)));
     Step::Next
 }
 
-fn x_andi(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].and(op.imm);
+fn x_andi<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).and(op.imm));
     Step::Next
 }
 
-fn x_addi(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(op.imm);
+fn x_addi<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(op.imm));
     Step::Next
 }
 
 // SRI/SLI resolve their balanced shift amount at compile time, so the
 // run-time body is a bare shl/shr by a constant count.
-fn x_shl_k(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].shl(op.c as usize);
+fn x_shl_k<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).shl(op.c as usize));
     Step::Next
 }
 
-fn x_shr_k(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].shr(op.c as usize);
+fn x_shr_k<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).shr(op.c as usize));
     Step::Next
 }
 
 // LUI's whole result is a compile-time constant.
-fn x_const(m: &mut Machine, op: &Op) -> Step {
-    m.state.trf[op.a as usize] = op.imm;
+fn x_const<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, op.imm);
     Step::Next
 }
 
-fn x_li(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].with_field::<5>(0, op.imm.field::<5>(0));
+fn x_li<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(
+        op.a,
+        op.opcode,
+        m.r(op.a).with_field::<5>(0, op.imm.field::<5>(0)),
+    );
     Step::Next
 }
 
@@ -344,7 +597,7 @@ fn x_li(m: &mut Machine, op: &Op) -> Step {
 /// in-range → jump, own address → jump-to-self halt, text length →
 /// fell-off-end halt, anything else → wild-transfer fault.
 #[inline]
-fn resolve_next(m: &mut Machine, target: i64, pc: usize) -> Step {
+fn resolve_next<S>(m: &mut Machine<S>, target: i64, pc: usize) -> Step {
     if target < 0 || target as usize > m.text_len {
         m.fault = Some(Fault::Wild {
             target,
@@ -362,37 +615,63 @@ fn resolve_next(m: &mut Machine, target: i64, pc: usize) -> Step {
     }
 }
 
-fn x_beq(m: &mut Machine, op: &Op) -> Step {
+/// Resolves a conditional branch of `opcode` at `pc` to `next`. A
+/// branch drives zero onto the result bus — when it retires, which a
+/// wild transfer does not.
+#[inline]
+fn branch<S: Sink>(m: &mut Machine<S>, opcode: u8, next: i64, pc: usize) -> Step {
+    let step = resolve_next(m, next, pc);
+    if !matches!(step, Step::Fault) {
+        m.sink.bus(opcode, Word9::ZERO);
+    }
+    step
+}
+
+/// Resolves a JAL/JALR to `target` once its link word `op.imm` has
+/// replaced `old`. The write is reported only when the transfer
+/// retires: a wild transfer writes its link but fires no write-back.
+#[inline]
+fn link<S: Sink>(m: &mut Machine<S>, op: &Op, old: Word9, target: i64) -> Step {
+    let step = resolve_next(m, target, op.pc as usize);
+    if !matches!(step, Step::Fault) {
+        m.sink.reg(op.opcode, old, op.imm);
+        m.sink.bus(op.opcode, op.imm);
+    }
+    step
+}
+
+fn x_beq<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
     let pc = op.pc as usize;
-    let next = if m.state.trf[op.b as usize].lst() == op.cond {
+    let next = if m.r(op.b).lst() == op.cond {
         op.target
     } else {
         pc as i64 + 1
     };
-    resolve_next(m, next, pc)
+    branch(m, op.opcode, next, pc)
 }
 
-fn x_bne(m: &mut Machine, op: &Op) -> Step {
+fn x_bne<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
     let pc = op.pc as usize;
-    let next = if m.state.trf[op.b as usize].lst() != op.cond {
+    let next = if m.r(op.b).lst() != op.cond {
         op.target
     } else {
         pc as i64 + 1
     };
-    resolve_next(m, next, pc)
+    branch(m, op.opcode, next, pc)
 }
 
-fn x_jal(m: &mut Machine, op: &Op) -> Step {
-    m.state.trf[op.a as usize] = op.imm; // link = pc + 1, precomputed
-    resolve_next(m, op.target, op.pc as usize)
+fn x_jal<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    // link = pc + 1, precomputed
+    let old = std::mem::replace(&mut m.state.trf[op.a as usize], op.imm);
+    link(m, op, old, op.target)
 }
 
-fn x_jalr(m: &mut Machine, op: &Op) -> Step {
+fn x_jalr<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
     // Target reads Tb before the link write lands in Ta (a == b case).
     // Each JALR site inline-caches its last base word next to the
     // computed target (return addresses repeat heavily), skipping the
     // balanced-ternary conversion on a hit.
-    let w = m.state.trf[op.b as usize];
+    let w = m.r(op.b);
     let ic = &mut m.icache[op.site as usize];
     let target = if ic.base == w {
         ic.value
@@ -401,26 +680,25 @@ fn x_jalr(m: &mut Machine, op: &Op) -> Step {
         *ic = InlineCache { base: w, value: t };
         t
     };
-    m.state.trf[op.a as usize] = op.imm;
-    resolve_next(m, target, op.pc as usize)
+    let old = std::mem::replace(&mut m.state.trf[op.a as usize], op.imm);
+    link(m, op, old, target)
 }
 
-/// Resolves a LOAD/STORE effective address through the site's inline
-/// cache: on a base-word hit the address is an integer add with one
-/// conditional balanced wrap (matching `wrapping_add` exactly); on a
-/// miss, the full ternary resolve runs and refills the cache. `None`
-/// parks the fault on the machine.
+/// Resolves a LOAD/STORE effective address `base + off` through the
+/// site's inline cache: on a base-word hit the address is an integer
+/// add with one conditional balanced wrap (matching `wrapping_add`
+/// exactly); on a miss, the full ternary resolve runs and refills the
+/// cache. `None` parks the fault on the machine.
 #[inline]
-fn tdm_index(
-    m: &mut Machine,
-    base_reg: u8,
+fn tdm_index<S>(
+    m: &mut Machine<S>,
+    base: Word9,
     off_word: Word9,
     off: i64,
     site: u32,
     pc: usize,
     retired: u8,
 ) -> Option<usize> {
-    let base = m.state.trf[base_reg as usize];
     let ic = &mut m.icache[site as usize];
     if ic.base == base {
         let mut v = ic.value + off;
@@ -466,14 +744,14 @@ fn tdm_index(
     }
 }
 
-/// The load body shared by the unfused op and the fused pairs.
-/// `false` parks the fault on the machine. (The argument list is the
-/// point: every value arrives pre-extracted in registers, no struct
-/// indirection on the hot path.)
+/// The load body shared by the unfused op and the fused pairs, for the
+/// component with `opcode`. `false` parks the fault on the machine.
+/// (The argument list is the point: every value arrives pre-extracted
+/// in registers, no struct indirection on the hot path.)
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn do_load(
-    m: &mut Machine,
+fn do_load<S: Sink>(
+    m: &mut Machine<S>,
     dst_reg: u8,
     base_reg: u8,
     off_word: Word9,
@@ -481,13 +759,20 @@ fn do_load(
     site: u32,
     pc: usize,
     retired: u8,
+    opcode: u8,
 ) -> bool {
-    let Some(idx) = tdm_index(m, base_reg, off_word, off, site, pc, retired) else {
+    let base = m.r(base_reg);
+    let Some(idx) = tdm_index(m, base, off_word, off, site, pc, retired) else {
         return false;
     };
     match m.state.tdm.read(idx) {
         Ok(v) => {
-            m.state.trf[dst_reg as usize] = v;
+            let old = std::mem::replace(&mut m.state.trf[dst_reg as usize], v);
+            m.sink.reg(opcode, old, v);
+            if S::COUNTS {
+                // The effective address is what drives the result bus.
+                m.sink.bus(opcode, base.wrapping_add(off_word));
+            }
             true
         }
         Err(cause) => {
@@ -497,21 +782,21 @@ fn do_load(
     }
 }
 
-fn x_load(m: &mut Machine, op: &Op) -> Step {
-    if do_load(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
+fn x_load<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    if mem_first(m, op, true) {
         Step::Next
     } else {
         Step::Fault
     }
 }
 
-/// The store body shared by the unfused op and the fused pairs.
-/// `false` parks the fault on the machine. (Same flat-argument
-/// convention as `do_load`.)
+/// The store body shared by the unfused op and the fused pairs, for the
+/// component with `opcode`. `false` parks the fault on the machine.
+/// (Same flat-argument convention as `do_load`.)
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn do_store(
-    m: &mut Machine,
+fn do_store<S: Sink>(
+    m: &mut Machine<S>,
     val_reg: u8,
     base_reg: u8,
     off_word: Word9,
@@ -519,13 +804,26 @@ fn do_store(
     site: u32,
     pc: usize,
     retired: u8,
+    opcode: u8,
 ) -> bool {
-    let v = m.state.trf[val_reg as usize];
-    let Some(idx) = tdm_index(m, base_reg, off_word, off, site, pc, retired) else {
+    let v = m.r(val_reg);
+    let base = m.r(base_reg);
+    let Some(idx) = tdm_index(m, base, off_word, off, site, pc, retired) else {
         return false;
     };
+    let old = if S::COUNTS {
+        m.state.tdm.read(idx).ok()
+    } else {
+        None
+    };
     match m.state.tdm.write(idx, v) {
-        Ok(()) => true,
+        Ok(()) => {
+            if let Some(old) = old {
+                m.sink.tdm(opcode, old, v);
+                m.sink.bus(opcode, base.wrapping_add(off_word));
+            }
+            true
+        }
         Err(cause) => {
             m.fault = Some(Fault::Mem { pc, cause, retired });
             false
@@ -533,8 +831,8 @@ fn do_store(
     }
 }
 
-fn x_store(m: &mut Machine, op: &Op) -> Step {
-    if do_store(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
+fn x_store<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    if mem_first(m, op, false) {
         Step::Next
     } else {
         Step::Fault
@@ -550,73 +848,63 @@ fn x_store(m: &mut Machine, op: &Op) -> Step {
 // (the faulting one included, per the architectural convention), so
 // the engine settles partial pairs exactly.
 
-fn x_and_comp(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].and(t[op.b as usize]);
-    t[op.c as usize] = t[op.c as usize].compare(t[op.d as usize]);
+fn x_and_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).and(m.r(op.b)));
+    m.set(op.c, op.opcode2, m.r(op.c).compare(m.r(op.d)));
     Step::Next
 }
 
-fn x_or_comp(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].or(t[op.b as usize]);
-    t[op.c as usize] = t[op.c as usize].compare(t[op.d as usize]);
+fn x_or_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).or(m.r(op.b)));
+    m.set(op.c, op.opcode2, m.r(op.c).compare(m.r(op.d)));
     Step::Next
 }
 
-fn x_xor_comp(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].xor(t[op.b as usize]);
-    t[op.c as usize] = t[op.c as usize].compare(t[op.d as usize]);
+fn x_xor_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).xor(m.r(op.b)));
+    m.set(op.c, op.opcode2, m.r(op.c).compare(m.r(op.d)));
     Step::Next
 }
 
-fn x_mv_comp(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.b as usize];
-    t[op.c as usize] = t[op.c as usize].compare(t[op.d as usize]);
+fn x_mv_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.b));
+    m.set(op.c, op.opcode2, m.r(op.c).compare(m.r(op.d)));
     Step::Next
 }
 
-fn x_addi_mv(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(op.imm);
-    t[op.c as usize] = t[op.d as usize];
+fn x_addi_mv<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(op.imm));
+    m.set(op.c, op.opcode2, m.r(op.d));
     Step::Next
 }
 
-fn x_add_comp(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(t[op.b as usize]);
-    t[op.c as usize] = t[op.c as usize].compare(t[op.d as usize]);
+fn x_add_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(m.r(op.b)));
+    m.set(op.c, op.opcode2, m.r(op.c).compare(m.r(op.d)));
     Step::Next
 }
 
-fn x_sub_comp(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_sub(t[op.b as usize]);
-    t[op.c as usize] = t[op.c as usize].compare(t[op.d as usize]);
+fn x_sub_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).wrapping_sub(m.r(op.b)));
+    m.set(op.c, op.opcode2, m.r(op.c).compare(m.r(op.d)));
     Step::Next
 }
 
-fn x_mv_mv(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.b as usize];
-    t[op.c as usize] = t[op.d as usize];
+fn x_mv_mv<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.b));
+    m.set(op.c, op.opcode2, m.r(op.d));
     Step::Next
 }
 
-fn x_mv_addi(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.b as usize];
-    t[op.c as usize] = t[op.c as usize].wrapping_add(op.imm2);
+fn x_mv_addi<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.b));
+    m.set(op.c, op.opcode2, m.r(op.c).wrapping_add(op.imm2));
     Step::Next
 }
 
-fn x_addi_addi(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(op.imm);
-    t[op.c as usize] = t[op.c as usize].wrapping_add(op.imm2);
+fn x_addi_addi<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(op.imm));
+    m.set(op.c, op.opcode2, m.r(op.c).wrapping_add(op.imm2));
     Step::Next
 }
 
@@ -624,286 +912,201 @@ fn x_addi_addi(m: &mut Machine, op: &Op) -> Step {
 // register file exactly as unfused, then the branch resolves against
 // it. The branch's own address is `op.pc + 1`.
 
-fn x_comp_beq(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].compare(t[op.b as usize]);
+fn x_comp_beq<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).compare(m.r(op.b)));
     let pc = op.pc as usize + 1;
-    let next = if m.state.trf[op.d as usize].lst() == op.cond {
+    let next = if m.r(op.d).lst() == op.cond {
         op.target
     } else {
         pc as i64 + 1
     };
-    resolve_next(m, next, pc)
+    branch(m, op.opcode2, next, pc)
 }
 
-fn x_comp_bne(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].compare(t[op.b as usize]);
+fn x_comp_bne<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).compare(m.r(op.b)));
     let pc = op.pc as usize + 1;
-    let next = if m.state.trf[op.d as usize].lst() != op.cond {
+    let next = if m.r(op.d).lst() != op.cond {
         op.target
     } else {
         pc as i64 + 1
     };
-    resolve_next(m, next, pc)
+    branch(m, op.opcode2, next, pc)
 }
 
-fn x_add_store(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(t[op.b as usize]);
-    if do_store(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.target,
-        op.site,
-        op.pc as usize + 1,
-        2,
-    ) {
+/// The second component of a fused pair is a LOAD (`load`) or STORE
+/// whose site/offset live in `site`/`target`, at address `op.pc + 1`.
+#[inline]
+fn mem_second<S: Sink>(m: &mut Machine<S>, op: &Op, load: bool) -> Step {
+    let pc = op.pc as usize + 1;
+    let done = if load {
+        do_load(
+            m, op.c, op.d, op.imm2, op.target, op.site, pc, 2, op.opcode2,
+        )
+    } else {
+        do_store(
+            m, op.c, op.d, op.imm2, op.target, op.site, pc, 2, op.opcode2,
+        )
+    };
+    if done {
         Step::Next
     } else {
         Step::Fault
     }
 }
 
-fn x_addi_store(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(op.imm);
-    if do_store(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.target,
-        op.site,
-        op.pc as usize + 1,
-        2,
-    ) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
+fn x_add_store<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(m.r(op.b)));
+    mem_second(m, op, false)
 }
 
-fn x_mv_store(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.b as usize];
-    if do_store(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.target,
-        op.site,
-        op.pc as usize + 1,
-        2,
-    ) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
+fn x_addi_store<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(op.imm));
+    mem_second(m, op, false)
 }
 
-fn x_add_load(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(t[op.b as usize]);
-    if do_load(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.target,
-        op.site,
-        op.pc as usize + 1,
-        2,
-    ) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
+fn x_mv_store<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.b));
+    mem_second(m, op, false)
 }
 
-fn x_addi_load(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(op.imm);
-    if do_load(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.target,
-        op.site,
-        op.pc as usize + 1,
-        2,
-    ) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
+fn x_add_load<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(m.r(op.b)));
+    mem_second(m, op, true)
 }
 
-fn x_mv_load(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.b as usize];
-    if do_load(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.target,
-        op.site,
-        op.pc as usize + 1,
-        2,
-    ) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
+fn x_addi_load<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(op.imm));
+    mem_second(m, op, true)
+}
+
+fn x_mv_load<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.b));
+    mem_second(m, op, true)
 }
 
 // Memory-first pairs: the first component's site/offset live in
 // `site`/`target`, the second's in `site2`/`off2`.
 
-fn x_load_load(m: &mut Machine, op: &Op) -> Step {
-    if !do_load(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
+/// A LOAD (`load`) or STORE at `op.pc`, alone or as the first
+/// component of a memory-first pair.
+#[inline]
+fn mem_first<S: Sink>(m: &mut Machine<S>, op: &Op, load: bool) -> bool {
+    let pc = op.pc as usize;
+    if load {
+        do_load(m, op.a, op.b, op.imm, op.target, op.site, pc, 1, op.opcode)
+    } else {
+        do_store(m, op.a, op.b, op.imm, op.target, op.site, pc, 1, op.opcode)
+    }
+}
+
+/// The second component of a memory-memory pair, at `op.pc + 1`.
+#[inline]
+fn mem_mem_second<S: Sink>(m: &mut Machine<S>, op: &Op, load: bool) -> Step {
+    let (off, pc) = (op.off2 as i64, op.pc as usize + 1);
+    let done = if load {
+        do_load(m, op.c, op.d, op.imm2, off, op.site2, pc, 2, op.opcode2)
+    } else {
+        do_store(m, op.c, op.d, op.imm2, off, op.site2, pc, 2, op.opcode2)
+    };
+    if done {
+        Step::Next
+    } else {
+        Step::Fault
+    }
+}
+
+fn x_load_load<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    if !mem_first(m, op, true) {
         return Step::Fault;
     }
-    if !do_load(
-        m,
+    mem_mem_second(m, op, true)
+}
+
+fn x_load_store<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    if !mem_first(m, op, true) {
+        return Step::Fault;
+    }
+    mem_mem_second(m, op, false)
+}
+
+fn x_store_load<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    if !mem_first(m, op, false) {
+        return Step::Fault;
+    }
+    mem_mem_second(m, op, true)
+}
+
+fn x_store_store<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    if !mem_first(m, op, false) {
+        return Step::Fault;
+    }
+    mem_mem_second(m, op, false)
+}
+
+fn x_load_mv<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    if !mem_first(m, op, true) {
+        return Step::Fault;
+    }
+    m.set(op.c, op.opcode2, m.r(op.d));
+    Step::Next
+}
+
+fn x_store_mv<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    if !mem_first(m, op, false) {
+        return Step::Fault;
+    }
+    m.set(op.c, op.opcode2, m.r(op.d));
+    Step::Next
+}
+
+fn x_load_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    if !mem_first(m, op, true) {
+        return Step::Fault;
+    }
+    m.set(op.c, op.opcode2, m.r(op.c).compare(m.r(op.d)));
+    Step::Next
+}
+
+fn x_load_add<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    if !mem_first(m, op, true) {
+        return Step::Fault;
+    }
+    m.set(op.c, op.opcode2, m.r(op.c).wrapping_add(m.r(op.d)));
+    Step::Next
+}
+
+fn x_load_addi<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    if !mem_first(m, op, true) {
+        return Step::Fault;
+    }
+    m.set(op.c, op.opcode2, m.r(op.c).wrapping_add(op.imm2));
+    Step::Next
+}
+
+fn x_add_add<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(m.r(op.b)));
+    m.set(op.c, op.opcode2, m.r(op.c).wrapping_add(m.r(op.d)));
+    Step::Next
+}
+
+fn x_sub_li<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(op.a, op.opcode, m.r(op.a).wrapping_sub(m.r(op.b)));
+    m.set(
         op.c,
-        op.d,
-        op.imm2,
-        op.off2 as i64,
-        op.site2,
-        op.pc as usize + 1,
-        2,
-    ) {
-        return Step::Fault;
-    }
+        op.opcode2,
+        m.r(op.c).with_field::<5>(0, op.imm2.field::<5>(0)),
+    );
     Step::Next
 }
 
-fn x_load_store(m: &mut Machine, op: &Op) -> Step {
-    if !do_load(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    if !do_store(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.off2 as i64,
-        op.site2,
-        op.pc as usize + 1,
-        2,
-    ) {
-        return Step::Fault;
-    }
-    Step::Next
-}
-
-fn x_store_load(m: &mut Machine, op: &Op) -> Step {
-    if !do_store(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    if !do_load(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.off2 as i64,
-        op.site2,
-        op.pc as usize + 1,
-        2,
-    ) {
-        return Step::Fault;
-    }
-    Step::Next
-}
-
-fn x_store_store(m: &mut Machine, op: &Op) -> Step {
-    if !do_store(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    if !do_store(
-        m,
-        op.c,
-        op.d,
-        op.imm2,
-        op.off2 as i64,
-        op.site2,
-        op.pc as usize + 1,
-        2,
-    ) {
-        return Step::Fault;
-    }
-    Step::Next
-}
-
-fn x_load_mv(m: &mut Machine, op: &Op) -> Step {
-    if !do_load(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    let t = &mut m.state.trf;
-    t[op.c as usize] = t[op.d as usize];
-    Step::Next
-}
-
-fn x_store_mv(m: &mut Machine, op: &Op) -> Step {
-    if !do_store(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    let t = &mut m.state.trf;
-    t[op.c as usize] = t[op.d as usize];
-    Step::Next
-}
-
-fn x_load_comp(m: &mut Machine, op: &Op) -> Step {
-    if !do_load(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    let t = &mut m.state.trf;
-    t[op.c as usize] = t[op.c as usize].compare(t[op.d as usize]);
-    Step::Next
-}
-
-fn x_load_add(m: &mut Machine, op: &Op) -> Step {
-    if !do_load(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    let t = &mut m.state.trf;
-    t[op.c as usize] = t[op.c as usize].wrapping_add(t[op.d as usize]);
-    Step::Next
-}
-
-fn x_load_addi(m: &mut Machine, op: &Op) -> Step {
-    if !do_load(m, op.a, op.b, op.imm, op.target, op.site, op.pc as usize, 1) {
-        return Step::Fault;
-    }
-    let t = &mut m.state.trf;
-    t[op.c as usize] = t[op.c as usize].wrapping_add(op.imm2);
-    Step::Next
-}
-
-fn x_add_add(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_add(t[op.b as usize]);
-    t[op.c as usize] = t[op.c as usize].wrapping_add(t[op.d as usize]);
-    Step::Next
-}
-
-fn x_sub_li(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].wrapping_sub(t[op.b as usize]);
-    t[op.c as usize] = t[op.c as usize].with_field::<5>(0, op.imm2.field::<5>(0));
-    Step::Next
-}
-
-fn x_li_sub(m: &mut Machine, op: &Op) -> Step {
-    let t = &mut m.state.trf;
-    t[op.a as usize] = t[op.a as usize].with_field::<5>(0, op.imm.field::<5>(0));
-    t[op.c as usize] = t[op.c as usize].wrapping_sub(t[op.d as usize]);
+fn x_li_sub<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+    m.set(
+        op.a,
+        op.opcode,
+        m.r(op.a).with_field::<5>(0, op.imm.field::<5>(0)),
+    );
+    m.set(op.c, op.opcode2, m.r(op.c).wrapping_sub(m.r(op.d)));
     Step::Next
 }
 
@@ -933,78 +1136,78 @@ fn compile_op(instr: &Instruction, pc: usize, link: Word9, sites: &mut u32) -> O
         off2: 0,
         site2: u32::MAX,
         pc: pc as u32,
-        n: 1,
+        kind: Kind::x_mv,
         opcode: instr.opcode() as u8,
         opcode2: 0,
     };
     match instr {
         Mv { a, b } => {
-            op.exec = x_mv;
+            op.kind = Kind::x_mv;
             op.a = r(a);
             op.b = r(b);
         }
         Pti { a, b } => {
-            op.exec = x_pti;
+            op.kind = Kind::x_pti;
             op.a = r(a);
             op.b = r(b);
         }
         Nti { a, b } => {
-            op.exec = x_nti;
+            op.kind = Kind::x_nti;
             op.a = r(a);
             op.b = r(b);
         }
         Sti { a, b } => {
-            op.exec = x_sti;
+            op.kind = Kind::x_sti;
             op.a = r(a);
             op.b = r(b);
         }
         And { a, b } => {
-            op.exec = x_and;
+            op.kind = Kind::x_and;
             op.a = r(a);
             op.b = r(b);
         }
         Or { a, b } => {
-            op.exec = x_or;
+            op.kind = Kind::x_or;
             op.a = r(a);
             op.b = r(b);
         }
         Xor { a, b } => {
-            op.exec = x_xor;
+            op.kind = Kind::x_xor;
             op.a = r(a);
             op.b = r(b);
         }
         Add { a, b } => {
-            op.exec = x_add;
+            op.kind = Kind::x_add;
             op.a = r(a);
             op.b = r(b);
         }
         Sub { a, b } => {
-            op.exec = x_sub;
+            op.kind = Kind::x_sub;
             op.a = r(a);
             op.b = r(b);
         }
         Sr { a, b } => {
-            op.exec = x_sr;
+            op.kind = Kind::x_sr;
             op.a = r(a);
             op.b = r(b);
         }
         Sl { a, b } => {
-            op.exec = x_sl;
+            op.kind = Kind::x_sl;
             op.a = r(a);
             op.b = r(b);
         }
         Comp { a, b } => {
-            op.exec = x_comp;
+            op.kind = Kind::x_comp;
             op.a = r(a);
             op.b = r(b);
         }
         Andi { a, imm } => {
-            op.exec = x_andi;
+            op.kind = Kind::x_andi;
             op.a = r(a);
             op.imm = imm.resize::<9>();
         }
         Addi { a, imm } => {
-            op.exec = x_addi;
+            op.kind = Kind::x_addi;
             op.a = r(a);
             op.imm = imm.resize::<9>();
         }
@@ -1012,46 +1215,46 @@ fn compile_op(instr: &Instruction, pc: usize, link: Word9, sites: &mut u32) -> O
         // amount reverses the direction (DESIGN.md §3.2).
         Sri { a, imm } => {
             let v = imm.to_i64();
-            op.exec = if v >= 0 { x_shr_k } else { x_shl_k };
+            op.kind = if v >= 0 { Kind::x_shr_k } else { Kind::x_shl_k };
             op.a = r(a);
             op.c = v.unsigned_abs() as u8;
         }
         Sli { a, imm } => {
             let v = imm.to_i64();
-            op.exec = if v >= 0 { x_shl_k } else { x_shr_k };
+            op.kind = if v >= 0 { Kind::x_shl_k } else { Kind::x_shr_k };
             op.a = r(a);
             op.c = v.unsigned_abs() as u8;
         }
         Lui { a, imm } => {
-            op.exec = x_const;
+            op.kind = Kind::x_const;
             op.a = r(a);
             op.imm = Word9::ZERO.with_field::<4>(5, *imm);
         }
         Li { a, imm } => {
-            op.exec = x_li;
+            op.kind = Kind::x_li;
             op.a = r(a);
             op.imm = Word9::ZERO.with_field::<5>(0, *imm);
         }
         Beq { b, cond, offset } => {
-            op.exec = x_beq;
+            op.kind = Kind::x_beq;
             op.b = r(b);
             op.cond = *cond;
             op.target = pc as i64 + offset.to_i64();
         }
         Bne { b, cond, offset } => {
-            op.exec = x_bne;
+            op.kind = Kind::x_bne;
             op.b = r(b);
             op.cond = *cond;
             op.target = pc as i64 + offset.to_i64();
         }
         Jal { a, offset } => {
-            op.exec = x_jal;
+            op.kind = Kind::x_jal;
             op.a = r(a);
             op.imm = link;
             op.target = pc as i64 + offset.to_i64();
         }
         Jalr { a, b, offset } => {
-            op.exec = x_jalr;
+            op.kind = Kind::x_jalr;
             op.a = r(a);
             op.b = r(b);
             op.imm = link;
@@ -1059,7 +1262,7 @@ fn compile_op(instr: &Instruction, pc: usize, link: Word9, sites: &mut u32) -> O
             op.site = site();
         }
         Load { a, b, offset } => {
-            op.exec = x_load;
+            op.kind = Kind::x_load;
             op.a = r(a);
             op.b = r(b);
             op.imm = offset.resize::<9>();
@@ -1067,7 +1270,7 @@ fn compile_op(instr: &Instruction, pc: usize, link: Word9, sites: &mut u32) -> O
             op.site = site();
         }
         Store { a, b, offset } => {
-            op.exec = x_store;
+            op.kind = Kind::x_store;
             op.a = r(a);
             op.b = r(b);
             op.imm = offset.resize::<9>();
@@ -1075,6 +1278,7 @@ fn compile_op(instr: &Instruction, pc: usize, link: Word9, sites: &mut u32) -> O
             op.site = site();
         }
     }
+    op.exec = op.kind.body();
     op
 }
 
@@ -1083,37 +1287,37 @@ fn compile_op(instr: &Instruction, pc: usize, link: Word9, sites: &mut u32) -> O
 /// body, so `None` is only about profitability, never correctness.
 fn fuse(first: &Op, second: &Op, i1: &Instruction, i2: &Instruction) -> Option<Op> {
     use Instruction::*;
-    let exec: ExecFn = match (i1, i2) {
-        (And { .. }, Comp { .. }) => x_and_comp,
-        (Or { .. }, Comp { .. }) => x_or_comp,
-        (Xor { .. }, Comp { .. }) => x_xor_comp,
-        (Mv { .. }, Comp { .. }) => x_mv_comp,
-        (Add { .. }, Comp { .. }) => x_add_comp,
-        (Sub { .. }, Comp { .. }) => x_sub_comp,
-        (Mv { .. }, Mv { .. }) => x_mv_mv,
-        (Mv { .. }, Addi { .. }) => x_mv_addi,
-        (Addi { .. }, Mv { .. }) => x_addi_mv,
-        (Addi { .. }, Addi { .. }) => x_addi_addi,
-        (Add { .. }, Add { .. }) => x_add_add,
-        (Sub { .. }, Li { .. }) => x_sub_li,
-        (Li { .. }, Sub { .. }) => x_li_sub,
-        (Add { .. }, Store { .. }) => x_add_store,
-        (Addi { .. }, Store { .. }) => x_addi_store,
-        (Mv { .. }, Store { .. }) => x_mv_store,
-        (Add { .. }, Load { .. }) => x_add_load,
-        (Addi { .. }, Load { .. }) => x_addi_load,
-        (Mv { .. }, Load { .. }) => x_mv_load,
-        (Load { .. }, Load { .. }) => x_load_load,
-        (Load { .. }, Store { .. }) => x_load_store,
-        (Store { .. }, Load { .. }) => x_store_load,
-        (Store { .. }, Store { .. }) => x_store_store,
-        (Load { .. }, Mv { .. }) => x_load_mv,
-        (Store { .. }, Mv { .. }) => x_store_mv,
-        (Load { .. }, Comp { .. }) => x_load_comp,
-        (Load { .. }, Add { .. }) => x_load_add,
-        (Load { .. }, Addi { .. }) => x_load_addi,
-        (Comp { .. }, Beq { .. }) => x_comp_beq,
-        (Comp { .. }, Bne { .. }) => x_comp_bne,
+    let kind = match (i1, i2) {
+        (And { .. }, Comp { .. }) => Kind::x_and_comp,
+        (Or { .. }, Comp { .. }) => Kind::x_or_comp,
+        (Xor { .. }, Comp { .. }) => Kind::x_xor_comp,
+        (Mv { .. }, Comp { .. }) => Kind::x_mv_comp,
+        (Add { .. }, Comp { .. }) => Kind::x_add_comp,
+        (Sub { .. }, Comp { .. }) => Kind::x_sub_comp,
+        (Mv { .. }, Mv { .. }) => Kind::x_mv_mv,
+        (Mv { .. }, Addi { .. }) => Kind::x_mv_addi,
+        (Addi { .. }, Mv { .. }) => Kind::x_addi_mv,
+        (Addi { .. }, Addi { .. }) => Kind::x_addi_addi,
+        (Add { .. }, Add { .. }) => Kind::x_add_add,
+        (Sub { .. }, Li { .. }) => Kind::x_sub_li,
+        (Li { .. }, Sub { .. }) => Kind::x_li_sub,
+        (Add { .. }, Store { .. }) => Kind::x_add_store,
+        (Addi { .. }, Store { .. }) => Kind::x_addi_store,
+        (Mv { .. }, Store { .. }) => Kind::x_mv_store,
+        (Add { .. }, Load { .. }) => Kind::x_add_load,
+        (Addi { .. }, Load { .. }) => Kind::x_addi_load,
+        (Mv { .. }, Load { .. }) => Kind::x_mv_load,
+        (Load { .. }, Load { .. }) => Kind::x_load_load,
+        (Load { .. }, Store { .. }) => Kind::x_load_store,
+        (Store { .. }, Load { .. }) => Kind::x_store_load,
+        (Store { .. }, Store { .. }) => Kind::x_store_store,
+        (Load { .. }, Mv { .. }) => Kind::x_load_mv,
+        (Store { .. }, Mv { .. }) => Kind::x_store_mv,
+        (Load { .. }, Comp { .. }) => Kind::x_load_comp,
+        (Load { .. }, Add { .. }) => Kind::x_load_add,
+        (Load { .. }, Addi { .. }) => Kind::x_load_addi,
+        (Comp { .. }, Beq { .. }) => Kind::x_comp_beq,
+        (Comp { .. }, Bne { .. }) => Kind::x_comp_bne,
         _ => return None,
     };
     // `site`/`target` carry the first component's memory-access data
@@ -1122,7 +1326,7 @@ fn fuse(first: &Op, second: &Op, i1: &Instruction, i2: &Instruction) -> Option<O
     // memory-first pair bodies read).
     let mem_first = matches!(i1, Load { .. } | Store { .. });
     Some(Op {
-        exec,
+        exec: kind.body(),
         a: first.a,
         b: first.b,
         c: second.a,
@@ -1139,7 +1343,7 @@ fn fuse(first: &Op, second: &Op, i1: &Instruction, i2: &Instruction) -> Option<O
         off2: second.target as i32,
         site2: second.site,
         pc: first.pc,
-        n: 2,
+        kind,
         opcode: first.opcode,
         opcode2: second.opcode,
     })
@@ -1157,6 +1361,22 @@ impl ThreadedCode {
             .iter()
             .enumerate()
             .map(|(pc, i)| compile_op(i, pc, links[pc], &mut sites))
+            .collect();
+        // The fetch word per pc; the PC word of `pc` is the link word
+        // of `pc - 1`.
+        let fetch: Vec<FetchWord> = text
+            .iter()
+            .enumerate()
+            .map(|(pc, i)| {
+                let pc_word = pc.checked_sub(1).map_or(Word9::ZERO, |p| links[p]);
+                fetch_word(art9_isa::encode(i), pc_word)
+            })
+            .collect();
+        let fetch_flips: Vec<u8> = (0..len)
+            .map(|pc| match pc {
+                0 => 0,
+                _ => fetch[pc].flips_from(&fetch[pc - 1]) as u8,
+            })
             .collect();
 
         // Block heads: the entry point, every static in-range control
@@ -1189,15 +1409,21 @@ impl ThreadedCode {
         }
 
         let mut blocks = Vec::new();
+        let mut all_fused = Vec::with_capacity(len);
+        let mut all_mix = Vec::new();
         let mut block_idx = vec![u32::MAX; len];
         let mut block_of = vec![u32::MAX; len];
         let mut start = 0usize;
         while start < len {
             // `end` is the inclusive index of the block's last
             // instruction: extend until a control-flow terminator, the
-            // next head, or the end of text.
+            // next head, the length cap or the end of text.
             let mut end = start;
-            while !text[end].is_control_flow() && end + 1 < len && !head[end + 1] {
+            while !text[end].is_control_flow()
+                && end + 1 < len
+                && !head[end + 1]
+                && end + 1 - start < MAX_BLOCK_LEN
+            {
                 end += 1;
             }
             let exit = if text[end].is_control_flow() {
@@ -1205,55 +1431,78 @@ impl ThreadedCode {
             } else if end + 1 == len {
                 BlockExit::OffEnd
             } else {
-                BlockExit::Seq(end + 1)
+                BlockExit::Seq(end as u32 + 1)
             };
 
-            let mut fused = Vec::new();
+            let fused_at = all_fused.len() as u32;
             let mut i = start;
             while i <= end {
                 if i < end {
                     if let Some(f) = fuse(&ops[i], &ops[i + 1], &text[i], &text[i + 1]) {
-                        fused.push(f);
+                        all_fused.push(f);
                         i += 2;
                         continue;
                     }
                 }
-                fused.push(ops[i]);
+                all_fused.push(ops[i]);
                 i += 1;
             }
 
-            let mut counts = [0u32; Instruction::OPCODE_COUNT];
-            for instr in text[start..=end].iter() {
-                counts[instr.opcode()] += 1;
+            let mut shares = [(0u16, 0u32); Instruction::OPCODE_COUNT];
+            for pc in start..=end {
+                let share = &mut shares[text[pc].opcode()];
+                share.0 += 1;
+                if pc > start {
+                    share.1 += u32::from(fetch_flips[pc]);
+                }
             }
-            let mix: Vec<(u8, u32)> = counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(o, &c)| (o as u8, c))
-                .collect();
+            let mix_at = all_mix.len() as u32;
+            all_mix.extend(shares.iter().enumerate().filter(|(_, s)| s.0 > 0).map(
+                |(o, &(count, fetch))| MixEntry {
+                    fetch,
+                    count,
+                    opcode: o as u8,
+                },
+            ));
 
             block_idx[start] = blocks.len() as u32;
             for slot in block_of.iter_mut().take(end + 1).skip(start) {
                 *slot = blocks.len() as u32;
             }
             blocks.push(Block {
-                start,
-                len: end - start + 1,
-                fused,
+                start: start as u32,
+                len: (end - start + 1) as u32,
+                fused: fused_at..all_fused.len() as u32,
                 exit,
-                mix,
+                mix: mix_at..all_mix.len() as u32,
+                fetch_in: fetch[start],
+                fetch_out: fetch[end],
             });
             start = end + 1;
         }
 
+        all_fused.shrink_to_fit();
+        all_mix.shrink_to_fit();
         ThreadedCode {
             ops,
-            blocks,
+            blocks: blocks.into(),
+            fused: all_fused,
+            mix: all_mix,
+            fetch_flips,
             block_idx,
             block_of,
             sites: sites as usize,
         }
+    }
+
+    /// The fused op sequence of `block`.
+    fn fused_ops(&self, block: &Block) -> &[Op] {
+        &self.fused[block.fused.start as usize..block.fused.end as usize]
+    }
+
+    /// The per-opcode shares of `block`.
+    fn mix_of(&self, block: &Block) -> &[MixEntry] {
+        &self.mix[block.mix.start as usize..block.mix.end as usize]
     }
 }
 
@@ -1297,6 +1546,10 @@ pub struct ThreadedSim {
     /// lazily by `full_mix` (the precise step path and partial blocks
     /// still credit `mix` directly).
     block_execs: Vec<u64>,
+    /// Completed executions per superblock in flip-counting runs, not
+    /// yet folded into `block_execs` and the flip counters; all zero
+    /// between `run_for` calls (see `fold_flips`).
+    flip_execs: Vec<u64>,
     observers: ObserverSet,
 }
 
@@ -1315,6 +1568,7 @@ impl ThreadedSim {
             code,
             arch: Arch::new(image, tdm_words),
             icache,
+            flip_execs: block_execs.clone(),
             block_execs,
             observers,
         }
@@ -1329,11 +1583,29 @@ impl ThreadedSim {
             if execs == 0 {
                 continue;
             }
-            for &(opcode, count) in &block.mix {
-                mix[opcode as usize] += count as u64 * execs;
+            for e in self.code.mix_of(block) {
+                mix[e.opcode as usize] += u64::from(e.count) * execs;
             }
         }
         mix
+    }
+
+    /// Folds the whole-block executions a flip-counting run deferred
+    /// into `block_execs` and into `counters`: each block's retirements
+    /// and in-block fetch flips per opcode, times its executions.
+    fn fold_flips(&mut self, counters: &mut FlipCounters) {
+        for (bi, execs) in self.flip_execs.iter_mut().enumerate() {
+            if *execs == 0 {
+                continue;
+            }
+            let n = std::mem::take(execs);
+            self.block_execs[bi] += n;
+            for e in self.code.mix_of(&self.code.blocks[bi]) {
+                let acc = &mut counters.per_opcode[e.opcode as usize];
+                acc.retired += u64::from(e.count) * n;
+                acc.fetch += u64::from(e.fetch) * n;
+            }
+        }
     }
 
     /// Dynamic instruction mix: executed count per mnemonic. Fused ops
@@ -1368,19 +1640,18 @@ impl ThreadedSim {
     /// control-flow targets and successors; every instruction belongs
     /// to exactly one block.
     pub fn superblocks(&self) -> Vec<(usize, usize)> {
-        self.code.blocks.iter().map(|b| (b.start, b.len)).collect()
+        self.code
+            .blocks
+            .iter()
+            .map(|b| (b.start as usize, b.len as usize))
+            .collect()
     }
 
     /// Number of fused instruction pairs across the compiled hot
     /// sequences (each retires two architectural instructions per
     /// execution).
     pub fn fused_pairs(&self) -> usize {
-        self.code
-            .blocks
-            .iter()
-            .flat_map(|b| b.fused.iter())
-            .filter(|op| op.n == 2)
-            .count()
+        self.code.fused.iter().filter(|op| op.kind.n() == 2).count()
     }
 
     /// Number of inline-cached TDM base sites (one per static
@@ -1417,6 +1688,50 @@ impl ThreadedSim {
         }
     }
 
+    /// Runs `budget` as whole superblocks while the budget covers them
+    /// and as precise steps reporting to `ev` in between. The blocks
+    /// count trit flips inline when `ev` hands over flip counters; the
+    /// caller folds the deferred part in afterwards.
+    fn run_blocks<E: Events>(
+        &mut self,
+        budget: Budget,
+        ev: &mut E,
+    ) -> Result<RunSummary, SimError> {
+        let mut steps = 0u64;
+        // Steps and retired instructions advance in lockstep (every
+        // architectural instruction is one step), so either budget
+        // collapses to a single countdown computed once up front.
+        let mut remaining = match budget {
+            Budget::Steps(n) => n,
+            Budget::Retired(n) => n.saturating_sub(self.arch.instructions),
+        };
+        loop {
+            if self.arch.halted.is_some() || remaining == 0 {
+                return Ok(RunSummary {
+                    steps,
+                    retired: self.arch.instructions,
+                    halt: self.arch.halted,
+                });
+            }
+            // Whole superblocks — and unfused block tails after a
+            // dynamic mid-block landing — while the budget covers them
+            // (the only budget checks are at those boundaries)…
+            let halt = match ev.flip_counters() {
+                None => self.run_fast(&mut steps, &mut remaining, NoFlips)?,
+                Some(counters) => {
+                    self.run_fast(&mut steps, &mut remaining, Flips::new(counters))?
+                }
+            };
+            if halt.is_none() && remaining > 0 {
+                // …then one precise step: the budget is smaller than
+                // the next dispatch unit (the budget tail).
+                self.arch.step(ev)?;
+                steps += 1;
+                remaining -= 1;
+            }
+        }
+    }
+
     /// The block-dispatch hot loop: executes whole superblocks for as
     /// long as the remaining budget covers the next one. The PC, the
     /// budget countdown and the step count live in locals (and the
@@ -1427,23 +1742,32 @@ impl ThreadedSim {
     /// stopped because the fast path cannot continue — a mid-block PC
     /// (e.g. a dynamic JALR landing) or a budget smaller than the next
     /// block — in which case the caller falls back to precise stepping.
-    fn run_fast(
+    fn run_fast<S: Sink>(
         &mut self,
         steps: &mut u64,
         remaining: &mut u64,
+        sink: S,
     ) -> Result<Option<HaltReason>, SimError> {
         let code = Arc::clone(&self.code);
         let text_len = code.ops.len();
+        // A flip-counting run leaves its whole-block executions for
+        // `fold_flips`, which also folds them into the mix.
+        let execs = if S::COUNTS {
+            &mut self.flip_execs
+        } else {
+            &mut self.block_execs
+        };
         let mut retired = 0u64;
         let mut halt = None;
         let mut failed: Option<(u32, usize)> = None;
         let mut fault = None;
-        {
+        let mut sink = {
             let mut m = Machine {
                 state: &mut self.arch.state,
                 icache: &mut self.icache,
                 text_len,
                 fault: None,
+                sink,
             };
             let mut pc = m.state.pc;
             'blocks: while pc < code.block_idx.len() {
@@ -1456,7 +1780,7 @@ impl ThreadedSim {
                     // here — the deferred block counters only describe
                     // whole-block executions.
                     let block = &code.blocks[code.block_of[pc] as usize];
-                    let end = block.start + block.len;
+                    let end = (block.start + block.len) as usize;
                     if (end - pc) as u64 > *remaining {
                         break;
                     }
@@ -1464,7 +1788,7 @@ impl ThreadedSim {
                     let mut taken = Step::Next;
                     let mut executed = ops.len();
                     for (k, op) in ops.iter().enumerate() {
-                        match (op.exec)(&mut m, op) {
+                        match S::body(op)(&mut m, op) {
                             Step::Next => {}
                             Step::Fault => {
                                 executed = k + 1;
@@ -1487,12 +1811,14 @@ impl ThreadedSim {
                     for op in &ops[..executed] {
                         self.arch.mix[op.opcode as usize] += 1;
                     }
+                    let completed = executed - usize::from(fault.is_some());
+                    m.sink.steps(&code, &self.arch.text, pc, completed);
                     if fault.is_some() {
                         break 'blocks;
                     }
                     match taken {
                         Step::Next => match block.exit {
-                            BlockExit::Seq(next) => pc = next,
+                            BlockExit::Seq(next) => pc = next as usize,
                             BlockExit::OffEnd => {
                                 pc = text_len;
                                 halt = Some(HaltReason::FellOffEnd);
@@ -1513,19 +1839,20 @@ impl ThreadedSim {
                     continue;
                 }
                 let block = &code.blocks[bi as usize];
-                let blen = block.len as u64;
+                let blen = u64::from(block.len);
                 if blen > *remaining {
                     break;
                 }
+                let fused = code.fused_ops(block);
                 let mut taken = Step::Next;
-                for op in &block.fused {
-                    match (op.exec)(&mut m, op) {
+                for op in fused {
+                    match S::body(op)(&mut m, op) {
                         Step::Next => {}
                         Step::Fault => {
                             // The op's index is recovered from the
                             // reference offset — only this cold path
                             // pays for it, not the hot loop.
-                            let base = block.fused.as_ptr() as usize;
+                            let base = fused.as_ptr() as usize;
                             let i = (op as *const Op as usize - base) / std::mem::size_of::<Op>();
                             failed = Some((bi, i));
                             fault = m.fault.take();
@@ -1539,14 +1866,15 @@ impl ThreadedSim {
                 }
                 // Mix accounting is deferred: one counter bump per
                 // block, the sparse per-opcode counts are folded in
-                // lazily by `full_mix`.
+                // lazily by `full_mix` (or by `fold_flips`).
                 retired += blen;
                 *steps += blen;
                 *remaining -= blen;
-                self.block_execs[bi as usize] += 1;
+                execs[bi as usize] += 1;
+                m.sink.block(block, fused);
                 match taken {
                     Step::Next => match block.exit {
-                        BlockExit::Seq(next) => pc = next,
+                        BlockExit::Seq(next) => pc = next as usize,
                         BlockExit::OffEnd => {
                             pc = text_len;
                             halt = Some(HaltReason::FellOffEnd);
@@ -1565,34 +1893,44 @@ impl ThreadedSim {
                 }
             }
             m.state.pc = pc;
-        }
+            m.sink
+        };
         self.arch.instructions += retired;
         if let Some(fault) = fault {
             // A fused-block fault needs its partial block settled
             // precisely: every fused op before the fault in full, plus
             // however many of the faulting op's components retired
             // (the faulting instruction counts as retired, matching
-            // the functional backend). A tail fault was already
+            // the functional backend — though, firing no write-back,
+            // not in the flip counters). A tail fault was already
             // accounted per-op.
             if let Some((bi, i)) = failed {
                 let block = &code.blocks[bi as usize];
-                for done in &block.fused[..i] {
-                    self.arch.instructions += done.n as u64;
-                    self.arch.mix[done.opcode as usize] += 1;
-                    if done.n == 2 {
-                        self.arch.mix[done.opcode2 as usize] += 1;
+                let fused = code.fused_ops(block);
+                let mut done = 0usize;
+                for op in &fused[..i] {
+                    done += usize::from(op.kind.n());
+                    self.arch.mix[op.opcode as usize] += 1;
+                    if op.kind.n() == 2 {
+                        self.arch.mix[op.opcode2 as usize] += 1;
                     }
                 }
-                let at = &block.fused[i];
-                let partial = match &fault {
+                let at = &fused[i];
+                let partial = usize::from(match &fault {
                     Fault::Mem { retired, .. } => *retired,
-                    Fault::Wild { .. } => at.n,
-                };
-                self.arch.instructions += partial as u64;
+                    Fault::Wild { .. } => at.kind.n(),
+                });
+                self.arch.instructions += (done + partial) as u64;
                 self.arch.mix[at.opcode as usize] += 1;
                 if partial == 2 {
                     self.arch.mix[at.opcode2 as usize] += 1;
                 }
+                sink.steps(
+                    &code,
+                    &self.arch.text,
+                    block.start as usize,
+                    done + partial - 1,
+                );
             }
             self.arch.state.pc = match &fault {
                 Fault::Mem { pc, .. } => *pc,
@@ -1617,40 +1955,22 @@ impl Core for ThreadedSim {
     }
 
     fn run_for(&mut self, budget: Budget) -> Result<RunSummary, SimError> {
-        // Observed runs step the shared instruction definition, with
-        // every observer locked once for the whole call.
         let observers = self.observers.clone();
-        if let Some(mut ev) = observers.lock() {
+        let Some(mut ev) = observers.lock() else {
+            return self.run_blocks(budget, &mut NoEvents);
+        };
+        if ev.flip_counters().is_none() {
+            // Any other observed run steps the shared instruction
+            // definition, with every observer locked once for the
+            // whole call.
             return run_loop(self, budget, |c| c.arch.step(&mut ev));
         }
-        let mut steps = 0u64;
-        // Steps and retired instructions advance in lockstep (every
-        // architectural instruction is one step), so either budget
-        // collapses to a single countdown computed once up front.
-        let mut remaining = match budget {
-            Budget::Steps(n) => n,
-            Budget::Retired(n) => n.saturating_sub(self.arch.instructions),
-        };
-        loop {
-            if self.arch.halted.is_some() || remaining == 0 {
-                return Ok(RunSummary {
-                    steps,
-                    retired: self.arch.instructions,
-                    halt: self.arch.halted,
-                });
-            }
-            // Whole superblocks — and unfused block tails after a
-            // dynamic mid-block landing — while the budget covers them
-            // (the only budget checks are at those boundaries)…
-            let halted = self.run_fast(&mut steps, &mut remaining)?.is_some();
-            if !halted && remaining > 0 {
-                // …then one precise step: the budget is smaller than
-                // the next dispatch unit (the budget tail).
-                self.arch.step(&mut NoEvents)?;
-                steps += 1;
-                remaining -= 1;
-            }
-        }
+        // The only observer handed over its flip counters: blocks count
+        // flips inline, and their deferred part is folded in before
+        // the counters can be read again.
+        let result = self.run_blocks(budget, &mut ev);
+        self.fold_flips(ev.flip_counters().expect("handed over above"));
+        result
     }
 
     fn state(&self) -> &CoreState {

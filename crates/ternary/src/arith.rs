@@ -648,6 +648,18 @@ mod tests {
     }
 
     #[test]
+    fn flips_match_packed_count_for_every_switched_mask() {
+        // Every word against zero and against its own negation reaches
+        // every set of switched trits the packed count can see.
+        for a in -Word9::MAX_VALUE..=Word9::MAX_VALUE {
+            let wa = Word9::from_i64(a).unwrap();
+            for wb in [Word9::ZERO, wa.negate()] {
+                assert_eq!(flips_tritwise(wa, wb), wa.flips_from(&wb), "{a}");
+            }
+        }
+    }
+
+    #[test]
     fn div_by_zero_rejected() {
         assert!(div_rem_tritwise(Word9::from_i64(5).unwrap(), Word9::ZERO).is_err());
     }

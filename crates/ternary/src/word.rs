@@ -122,6 +122,17 @@ pub struct Trits<const N: usize> {
 /// ```
 pub type Word9 = Trits<9>;
 
+/// Set bits of every 9-bit value, for [`Trits::flips_from`].
+static POPCOUNT_9: [u8; 512] = {
+    let mut table = [0u8; 512];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = (i as u32).count_ones() as u8;
+        i += 1;
+    }
+    table
+};
+
 impl<const N: usize> Default for Trits<N> {
     fn default() -> Self {
         Self::ZERO
@@ -945,7 +956,15 @@ impl<const N: usize> Trits<N> {
     #[inline]
     #[must_use]
     pub fn flips_from(&self, prev: &Self) -> u32 {
-        (((self.pos ^ prev.pos) | (self.neg ^ prev.neg)) & Self::MASK).count_ones()
+        let switched = ((self.pos ^ prev.pos) | (self.neg ^ prev.neg)) & Self::MASK;
+        // Up to nine trits, the count is one table load: the machine
+        // word's flips are counted on every simulated write, and the
+        // default target has no popcount instruction.
+        if N <= 9 {
+            u32::from(POPCOUNT_9[switched as usize])
+        } else {
+            switched.count_ones()
+        }
     }
 
     /// The COMP result of the paper (§IV-A): a word whose every-trit value
