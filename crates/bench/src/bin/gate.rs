@@ -1,5 +1,6 @@
 //! Bench regression gate: compares a regenerated `BENCH_ternary.json`
-//! against the committed baseline and fails on >N% throughput loss.
+//! against the committed baseline, metric by metric, with the rules of
+//! `art9_bench::gate::GATED`.
 //!
 //! ```sh
 //! cp BENCH_ternary.json /tmp/bench-baseline.json
@@ -15,8 +16,12 @@ use art9_bench::gate::{compare, parse_bench_json};
 const USAGE: &str = "\
 usage: gate --baseline FILE --current FILE [--max-regress FRACTION]
 
-Fails (exit 1) when any simulator throughput metric in CURRENT is more
-than FRACTION (default 0.25) below BASELINE, or a workload disappeared.
+Fails (exit 1) when a gated rate or timing in CURRENT is worse than
+BASELINE by more than FRACTION (default 0.25; doubled for the service
+rate and the wide-word timings), when a deterministic counter
+(instructions, cycles, energy_nj, dmips_per_watt) differs at all, or
+when a metric BASELINE carries is missing. Exit 2 on usage or parse
+errors. The gated metrics are listed in docs/PERFORMANCE.md section 6.
 ";
 
 fn main() -> ExitCode {

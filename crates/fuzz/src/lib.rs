@@ -8,7 +8,7 @@
 //! [ART-9 program generator](generate) over the full 24-instruction
 //! ISA, co-simulated in lockstep through five
 //! [oracles](check_program) (functional vs a per-trit
-//! [`ReferenceSim`], functional vs the direct-threaded
+//! [`ReferenceSim`](art9_sim::ReferenceSim), functional vs the direct-threaded
 //! [`art9_sim::ThreadedSim`], pipelined with forwarding on and off,
 //! and the encode/decode/disassemble/reassemble toolchain), a direct
 //! packed-vs-tritwise [arithmetic oracle](check_arith), and a seeded
@@ -47,10 +47,6 @@ mod replay;
 mod rng;
 mod rv32gen;
 
-/// The per-trit reference interpreter now lives in `art9-sim` (it
-/// implements the unified `Core` API); re-exported here for
-/// compatibility.
-pub use art9_sim::ReferenceSim;
 pub use cosim::{check_compiler_lockstep, cosim_mem_bytes, CoSim, COSIM_TDM_WORDS};
 pub use gen::{generate, step_budget, GenConfig, Mix, MIN_TDM_WORDS};
 pub use minimize::{minimize, minimize_rv32, Minimized, MinimizedRv32};
@@ -137,8 +133,6 @@ impl FuzzConfig {
                 ..Rv32GenConfig::default()
             },
             arith_pairs: 16,
-            simd_sets: 4,
-            wide_sets: 4,
             sweep_mixes: true,
             ..Self::default()
         }

@@ -76,38 +76,42 @@ enum Cmd {
 }
 
 fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
+    let args: Vec<String> = args.collect();
+    // `--smoke` picks the starting profile; every other flag then
+    // overrides it, whatever the flag order.
+    let profile = if args.iter().any(|a| a == "--smoke") {
+        FuzzConfig::smoke()
+    } else {
+        FuzzConfig::default()
+    };
     let mut cfg = FuzzConfig {
         fail_dir: Some(PathBuf::from("fuzz-failures")),
-        ..FuzzConfig::default()
+        ..profile
     };
-    let mut smoke = false;
     let mut replay = None;
-    // Explicit flags always win over the smoke profile, whatever the
-    // flag order.
-    let mut explicit_iterations = None;
-    let mut explicit_max_len = None;
-    let mut explicit_mix = None;
-    let mut explicit_rv_mix = None;
-    let mut args = args.peekable();
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
             "--help" | "-h" => return Ok(Cmd::Help),
-            "--smoke" => smoke = true,
+            "--smoke" => {}
             "--seed" => cfg.seed = parse_num(&value("--seed")?)?,
-            "--iterations" => explicit_iterations = Some(parse_num(&value("--iterations")?)?),
+            "--iterations" => cfg.iterations = parse_num(&value("--iterations")?)?,
             "--max-len" => {
                 let n = parse_num(&value("--max-len")?)? as usize;
                 if n < 9 {
                     return Err("--max-len must be at least 9".into());
                 }
-                explicit_max_len = Some(n);
+                cfg.gen.max_len = n;
+                cfg.rv_gen.max_len = n;
             }
             "--mix" => {
                 let v = value("--mix")?;
+                // A pinned mix stops the smoke profile's rotation.
+                cfg.sweep_mixes = false;
                 match (v.parse::<Mix>(), v.parse::<Rv32Mix>()) {
-                    (Ok(m), _) => explicit_mix = Some(m),
-                    (_, Ok(m)) => explicit_rv_mix = Some(m),
+                    (Ok(m), _) => cfg.gen.mix = m,
+                    (_, Ok(m)) => cfg.rv_gen.mix = m,
                     (Err(_), Err(_)) => {
                         let names: Vec<&str> = Mix::ALL
                             .iter()
@@ -128,36 +132,13 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
             other => return Err(format!("unknown option {other:?}")),
         }
     }
-    if let Some(path) = replay {
-        return Ok(Cmd::Replay {
+    Ok(match replay {
+        Some(path) => Cmd::Replay {
             path,
             oracle: cfg.oracle,
-        });
-    }
-    if smoke {
-        let smoke_cfg = FuzzConfig::smoke();
-        cfg.iterations = smoke_cfg.iterations;
-        cfg.gen = smoke_cfg.gen;
-        cfg.arith_pairs = smoke_cfg.arith_pairs;
-        cfg.rv_gen = smoke_cfg.rv_gen;
-        // The smoke profile rotates through every mix unless the user
-        // pinned one explicitly.
-        cfg.sweep_mixes = explicit_mix.is_none() && explicit_rv_mix.is_none();
-    }
-    if let Some(n) = explicit_iterations {
-        cfg.iterations = n;
-    }
-    if let Some(n) = explicit_max_len {
-        cfg.gen.max_len = n;
-        cfg.rv_gen.max_len = n;
-    }
-    if let Some(mix) = explicit_mix {
-        cfg.gen.mix = mix;
-    }
-    if let Some(mix) = explicit_rv_mix {
-        cfg.rv_gen.mix = mix;
-    }
-    Ok(Cmd::Run(Box::new(cfg)))
+        },
+        None => Cmd::Run(Box::new(cfg)),
+    })
 }
 
 fn parse_num(s: &str) -> Result<u64, String> {
@@ -196,10 +177,15 @@ fn campaign(cfg: &FuzzConfig) -> ExitCode {
     }
 }
 
-/// The triage summary of a replayed divergence: which oracle flagged
-/// it and the first differing state field, plus the provenance the
-/// replay file recorded when it was written.
-fn triage(text: &str, divergence: &art9_fuzz::Divergence) {
+/// A replay's verdict: agreement, or the triage summary of the
+/// divergence (which oracle flagged it and the first differing state
+/// field, plus the provenance the replay file recorded when it was
+/// written).
+fn triage(text: &str, divergence: Option<art9_fuzz::Divergence>) -> ExitCode {
+    let Some(divergence) = divergence else {
+        println!("all oracles agree");
+        return ExitCode::SUCCESS;
+    };
     let recorded = parse_replay_header(text);
     println!("DIVERGENCE: {divergence}");
     println!("triage: flagged by oracle `{}`", divergence.oracle.name());
@@ -221,6 +207,7 @@ fn triage(text: &str, divergence: &art9_fuzz::Divergence) {
     if let (Some(seed), Some(iteration)) = (recorded.seed, recorded.iteration) {
         println!("triage: originally found at seed {seed}, iteration {iteration}");
     }
+    ExitCode::FAILURE
 }
 
 fn replay_one(path: &std::path::Path, oracle: Option<Oracle>) -> ExitCode {
@@ -262,16 +249,7 @@ fn replay_one(path: &std::path::Path, oracle: Option<Oracle>) -> ExitCode {
             "{} rv32 instructions, {} art9 instructions, {} sync points",
             stats.cosim_rv32_instructions, stats.cosim_art9_instructions, stats.cosim_sync_points
         );
-        return match divergence {
-            None => {
-                println!("all oracles agree");
-                ExitCode::SUCCESS
-            }
-            Some(d) => {
-                triage(&text, &d);
-                ExitCode::FAILURE
-            }
-        };
+        return triage(&text, divergence);
     }
 
     if oracle == Some(Oracle::CompilerLockstep) {
@@ -305,14 +283,39 @@ fn replay_one(path: &std::path::Path, oracle: Option<Oracle>) -> ExitCode {
         stats.pipelined_cycles,
         stats.roundtrip_checks
     );
-    match divergence {
-        None => {
-            println!("all oracles agree");
-            ExitCode::SUCCESS
+    triage(&text, divergence)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(args: &[&str]) -> FuzzConfig {
+        match parse_args(args.iter().map(|a| a.to_string())) {
+            Ok(Cmd::Run(cfg)) => *cfg,
+            _ => panic!("{args:?} is not a campaign"),
         }
-        Some(d) => {
-            triage(&text, &d);
-            ExitCode::FAILURE
-        }
+    }
+
+    #[test]
+    fn smoke_flag_is_the_library_profile_and_explicit_flags_win() {
+        // Field for field, apart from the CLI's default replay directory.
+        let smoke = FuzzConfig {
+            fail_dir: Some(PathBuf::from("fuzz-failures")),
+            ..FuzzConfig::smoke()
+        };
+        assert_eq!(format!("{:?}", config(&["--smoke"])), format!("{smoke:?}"));
+        let cfg = config(&[
+            "--iterations",
+            "7",
+            "--smoke",
+            "--mix",
+            "alu",
+            "--seed",
+            "3",
+        ]);
+        assert_eq!((cfg.iterations, cfg.seed, cfg.gen.mix), (7, 3, Mix::ALU));
+        assert!(!cfg.sweep_mixes);
+        assert_eq!(cfg.arith_pairs, smoke.arith_pairs);
     }
 }
