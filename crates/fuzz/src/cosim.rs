@@ -42,7 +42,7 @@ use art9_compiler::{translate_with_tdm, Origin, Translation};
 use art9_sim::{Backend, Budget, Core, SimBuilder};
 use rv32::{parse_program, Instr, Machine, Reg, Rv32Program, DATA_BASE};
 
-use crate::oracle::{Divergence, Oracle, OracleStats};
+use crate::oracle::{Divergence, OracleStats};
 
 /// TDM size the oracle translates and simulates with.
 pub const COSIM_TDM_WORDS: usize = 256;
@@ -200,7 +200,7 @@ impl Plan {
         m: &Machine,
         mem: &MemTracker,
         just_executed: Option<usize>,
-    ) -> Option<String> {
+    ) -> Result<(), String> {
         // A split `la` (lui+addi AddressPair) holds the full word
         // address on the ART-9 side after the lui half alone — skip its
         // destination until the absorbed addi completes the pair.
@@ -223,13 +223,13 @@ impl Plan {
             match self.expected(*class, rv_val, t) {
                 Some(expected) if expected == art_val => {}
                 Some(expected) => {
-                    return Some(format!(
+                    return Err(format!(
                         "{reg} ({class:?}) = {art_val} (art9) vs {} (rv32, expects {expected})",
                         rv_val as i32
                     ));
                 }
                 None => {
-                    return Some(format!(
+                    return Err(format!(
                         "{reg} ({class:?}) holds untranslatable rv32 value {}",
                         rv_val as i32
                     ));
@@ -238,11 +238,9 @@ impl Plan {
         }
 
         for &word in &mem.dirty {
-            if let Some(d) = self.compare_word(word, mem.class_of(word), t, core, m) {
-                return Some(d);
-            }
+            self.compare_word(word, mem.class_of(word), t, core, m)?;
         }
-        None
+        Ok(())
     }
 
     /// Compares one TDM word against its RV32 memory image, in the
@@ -255,24 +253,25 @@ impl Plan {
         t: &Translation,
         core: &dyn Core,
         m: &Machine,
-    ) -> Option<String> {
+    ) -> Result<(), String> {
         let byte = DATA_BASE as usize + 4 * (word - DATA_WORD_BASE as usize);
-        let rv_val = match m.load_word(byte as u32) {
-            Ok(v) => v,
-            Err(e) => return Some(format!("rv32 memory read at {byte:#x} failed: {e}")),
-        };
-        let art_val = match core.state().tdm.read(word) {
-            Ok(w) => w.to_i64(),
-            Err(e) => return Some(format!("art9 TDM read at word {word} failed: {e}")),
-        };
+        let rv_val = m
+            .load_word(byte as u32)
+            .map_err(|e| format!("rv32 memory read at {byte:#x} failed: {e}"))?;
+        let art_val = core
+            .state()
+            .tdm
+            .read(word)
+            .map_err(|e| format!("art9 TDM read at word {word} failed: {e}"))?
+            .to_i64();
         match self.expected(class, rv_val, t) {
-            Some(expected) if expected == art_val => None,
-            Some(expected) => Some(format!(
+            Some(expected) if expected == art_val => Ok(()),
+            Some(expected) => Err(format!(
                 "mem word {word} (byte {byte:#x}, {class:?}) = {art_val} (art9) vs {} \
                  (rv32, expects {expected})",
                 rv_val as i32
             )),
-            None => Some(format!(
+            None => Err(format!(
                 "mem word {word} (byte {byte:#x}, {class:?}) holds untranslatable rv32 \
                  value {}",
                 rv_val as i32
@@ -287,13 +286,11 @@ impl Plan {
         mem: &MemTracker,
         core: &dyn Core,
         m: &Machine,
-    ) -> Option<String> {
+    ) -> Result<(), String> {
         for word in DATA_WORD_BASE as usize..self.tdm_words {
-            if let Some(d) = self.compare_word(word, mem.class_of(word), t, core, m) {
-                return Some(d);
-            }
+            self.compare_word(word, mem.class_of(word), t, core, m)?;
         }
-        None
+        Ok(())
     }
 }
 
@@ -308,8 +305,8 @@ pub struct CoSim<'a> {
 
 impl<'a> CoSim<'a> {
     /// Builds the co-simulator for a source program and its translation
-    /// (use [`check_compiler_lockstep`] for the one-call
-    /// source-to-verdict path).
+    /// (the `compiler-lockstep` row of [`ORACLES`](crate::ORACLES) is
+    /// the one-call source-to-verdict path).
     ///
     /// # Errors
     ///
@@ -356,16 +353,10 @@ impl<'a> CoSim<'a> {
     }
 
     /// Runs the lockstep comparison on an architectural core
-    /// (functional or reference backend). Returns the first divergence.
-    pub fn run(&self, core: &mut dyn Core, stats: &mut OracleStats) -> Option<Divergence> {
-        let fail = |detail: String| {
-            Some(Divergence {
-                oracle: Oracle::CompilerLockstep,
-                detail,
-            })
-        };
+    /// (functional or reference backend). Returns the first difference.
+    pub fn run(&self, core: &mut dyn Core, stats: &mut OracleStats) -> Result<(), String> {
         if core.backend() == Backend::Pipelined {
-            return fail(format!(
+            return Err(format!(
                 "{HARNESS_MARKER} the pipelined backend cannot step at instruction \
                  granularity; use run_pipelined"
             ));
@@ -375,22 +366,17 @@ impl<'a> CoSim<'a> {
 
         // Run the translator prologue (sp init) up to the first
         // boundary, then compare the reset states.
-        if let Some(d) = self.advance(core, |o| o == Origin::Prologue) {
-            return fail(d);
-        }
+        self.advance(core, |o| o == Origin::Prologue)?;
         stats.cosim_sync_points += 1;
-        if let Some(d) = self
-            .plan
+        self.plan
             .compare(self.t, self.rv.text(), core, &m, &mem, None)
-        {
-            return fail(format!("at reset: {d}"));
-        }
+            .map_err(|d| format!("at reset: {d}"))?;
 
         for _ in 0..self.budget {
             let k = (m.pc() / 4) as usize;
             let store_word = self.dirty_word_of(&m, k);
             match m.step() {
-                Err(e) => return fail(format!("{HARNESS_MARKER} rv32 machine faulted: {e}")),
+                Err(e) => return Err(format!("{HARNESS_MARKER} rv32 machine faulted: {e}")),
                 Ok(Err(_halt)) => return self.finish(core, &m, &mem, stats),
                 Ok(Ok(_retire)) => {
                     stats.cosim_rv32_instructions += 1;
@@ -400,11 +386,10 @@ impl<'a> CoSim<'a> {
                     // Advance the ART-9 core through everything the
                     // compiler attributes to source instruction k.
                     let inside = |o: Origin| matches!(o, Origin::Builtin(_)) || o == Origin::Rv(k);
-                    if let Some(d) = self.advance(core, inside) {
-                        return fail(format!("during rv32 #{k} ({}): {d}", self.rv.text()[k]));
-                    }
+                    self.advance(core, inside)
+                        .map_err(|d| format!("during rv32 #{k} ({}): {d}", self.rv.text()[k]))?;
                     if core.halted().is_some() {
-                        return fail(format!(
+                        return Err(format!(
                             "art9 halted after rv32 #{k} while the rv32 machine continues"
                         ));
                     }
@@ -413,7 +398,7 @@ impl<'a> CoSim<'a> {
                     let next_k = (m.pc() / 4) as usize;
                     let expected = self.t.address_of_rv(next_k);
                     if expected != Some(core.state().pc) {
-                        return fail(format!(
+                        return Err(format!(
                             "after rv32 #{k} ({}): art9 pc {} is not the boundary of rv32 \
                              #{next_k} ({expected:?})",
                             self.rv.text()[k],
@@ -421,12 +406,9 @@ impl<'a> CoSim<'a> {
                         ));
                     }
                     stats.cosim_sync_points += 1;
-                    if let Some(d) =
-                        self.plan
-                            .compare(self.t, self.rv.text(), core, &m, &mem, Some(k))
-                    {
-                        return fail(format!("after rv32 #{k} ({}): {d}", self.rv.text()[k]));
-                    }
+                    self.plan
+                        .compare(self.t, self.rv.text(), core, &m, &mem, Some(k))
+                        .map_err(|d| format!("after rv32 #{k} ({}): {d}", self.rv.text()[k]))?;
                     if m.halted().is_some() {
                         // FellOffEnd is detected eagerly after a retire.
                         return self.finish(core, &m, &mem, stats);
@@ -434,7 +416,7 @@ impl<'a> CoSim<'a> {
                 }
             }
         }
-        fail(format!(
+        Err(format!(
             "rv32 program {} {} steps",
             Divergence::BUDGET_MARKER,
             self.budget
@@ -444,22 +426,20 @@ impl<'a> CoSim<'a> {
     /// Steps the core while the instruction at its PC satisfies
     /// `inside` (and it has not halted). Returns a description on fault
     /// or budget exhaustion.
-    fn advance(&self, core: &mut dyn Core, inside: impl Fn(Origin) -> bool) -> Option<String> {
+    fn advance(&self, core: &mut dyn Core, inside: impl Fn(Origin) -> bool) -> Result<(), String> {
         let prov = self.t.provenance();
         for _ in 0..PER_SYNC_BUDGET {
             if core.halted().is_some() {
-                return None; // callers decide whether halting is legal
+                return Ok(()); // callers decide whether halting is legal
             }
             let pc = core.state().pc;
             match prov.get(pc) {
                 Some(o) if inside(*o) => {}
-                _ => return None, // reached foreign territory: a boundary
+                _ => return Ok(()), // reached foreign territory: a boundary
             }
-            if let Err(e) = core.step() {
-                return Some(format!("art9 core faulted: {e}"));
-            }
+            core.step().map_err(|e| format!("art9 core faulted: {e}"))?;
         }
-        Some(format!(
+        Err(format!(
             "art9 sequence {} {PER_SYNC_BUDGET} steps",
             Divergence::BUDGET_MARKER
         ))
@@ -473,37 +453,28 @@ impl<'a> CoSim<'a> {
         m: &Machine,
         mem: &MemTracker,
         stats: &mut OracleStats,
-    ) -> Option<Divergence> {
-        let fail = |detail: String| {
-            Some(Divergence {
-                oracle: Oracle::CompilerLockstep,
-                detail,
-            })
-        };
+    ) -> Result<(), String> {
         if core.halted().is_none() {
             match core.run_for(Budget::Steps(PER_SYNC_BUDGET)) {
                 Ok(summary) if summary.halt.is_some() => {}
                 Ok(_) => {
-                    return fail(format!(
+                    return Err(format!(
                         "art9 {} {PER_SYNC_BUDGET} steps after the rv32 machine halted ({:?})",
                         Divergence::BUDGET_MARKER,
                         m.halted()
                     ));
                 }
-                Err(e) => return fail(format!("art9 core faulted while halting: {e}")),
+                Err(e) => return Err(format!("art9 core faulted while halting: {e}")),
             }
         }
         stats.cosim_art9_instructions += core.retired();
-        if let Some(d) = self
-            .plan
+        self.plan
             .compare(self.t, self.rv.text(), core, m, mem, None)
-        {
-            return fail(format!("at halt ({:?}): {d}", m.halted()));
-        }
-        if let Some(d) = self.plan.compare_memory_window(self.t, mem, core, m) {
-            return fail(format!("at halt ({:?}): {d}", m.halted()));
-        }
-        None
+            .map_err(|d| format!("at halt ({:?}): {d}", m.halted()))?;
+        self.plan
+            .compare_memory_window(self.t, mem, core, m)
+            .map_err(|d| format!("at halt ({:?}): {d}", m.halted()))?;
+        Ok(())
     }
 
     /// The pipelined variant: runs the RV32 machine to halt to predict
@@ -511,15 +482,9 @@ impl<'a> CoSim<'a> {
     /// enter, then runs the pipelined core to halt under a
     /// [`SyncPoints`](art9_sim::observers::SyncPoints) observer and
     /// compares the crossing trace plus the full final state.
-    pub fn run_pipelined(&self, stats: &mut OracleStats) -> Option<Divergence> {
+    pub fn run_pipelined(&self, stats: &mut OracleStats) -> Result<(), String> {
         use std::sync::{Arc, Mutex};
 
-        let fail = |detail: String| {
-            Some(Divergence {
-                oracle: Oracle::CompilerLockstep,
-                detail,
-            })
-        };
         let len = self.rv.text().len();
         let b = |k: usize| self.t.address_of_rv(k).expect("boundary in range");
         // Watch every distinct boundary except the halt sequence's own
@@ -542,7 +507,7 @@ impl<'a> CoSim<'a> {
                 mem.record(w, class);
             }
             match m.step() {
-                Err(e) => return fail(format!("{HARNESS_MARKER} rv32 machine faulted: {e}")),
+                Err(e) => return Err(format!("{HARNESS_MARKER} rv32 machine faulted: {e}")),
                 Ok(Err(reason)) => {
                     // ebreak maps to a jump-to-self at its own boundary:
                     // that retirement re-enters b(k).
@@ -571,7 +536,7 @@ impl<'a> CoSim<'a> {
             }
         }
         if halt.is_none() {
-            return fail(format!(
+            return Err(format!(
                 "rv32 program {} {} steps",
                 Divergence::BUDGET_MARKER,
                 self.budget
@@ -591,12 +556,12 @@ impl<'a> CoSim<'a> {
         )) {
             Ok(summary) if summary.halt.is_some() => {}
             Ok(_) => {
-                return fail(format!(
+                return Err(format!(
                     "pipelined art9 {} its cycle budget",
                     Divergence::BUDGET_MARKER
                 ))
             }
-            Err(e) => return fail(format!("pipelined art9 faulted: {e}")),
+            Err(e) => return Err(format!("pipelined art9 faulted: {e}")),
         }
         stats.cosim_art9_instructions += core.retired();
 
@@ -607,7 +572,7 @@ impl<'a> CoSim<'a> {
                 .zip(expected.iter())
                 .position(|(a, b)| a != b)
                 .unwrap_or_else(|| crossings.len().min(expected.len()));
-            return fail(format!(
+            return Err(format!(
                 "boundary-crossing trace diverges at entry {first}: pipelined {:?} vs rv32 \
                  path {:?} ({} vs {} crossings)",
                 crossings.get(first),
@@ -618,16 +583,13 @@ impl<'a> CoSim<'a> {
         }
         stats.cosim_sync_points += crossings.len() as u64;
 
-        if let Some(d) = self
-            .plan
+        self.plan
             .compare(self.t, self.rv.text(), &*core, &m, &mem, None)
-        {
-            return fail(format!("at halt: {d}"));
-        }
-        if let Some(d) = self.plan.compare_memory_window(self.t, &mem, &*core, &m) {
-            return fail(format!("at halt: {d}"));
-        }
-        None
+            .map_err(|d| format!("at halt: {d}"))?;
+        self.plan
+            .compare_memory_window(self.t, &mem, &*core, &m)
+            .map_err(|d| format!("at halt: {d}"))?;
+        Ok(())
     }
 }
 
@@ -636,42 +598,26 @@ impl<'a> CoSim<'a> {
 /// the architectural core — the campaign entry point. Parse/translate
 /// failures are reported as harness-marked divergences (the generator
 /// is supposed to make them impossible).
-pub fn check_compiler_lockstep(
+pub(crate) fn check_compiler_lockstep(
     src: &str,
     rv32_budget: u64,
     stats: &mut OracleStats,
-) -> Option<Divergence> {
-    let fail = |detail: String| {
-        Some(Divergence {
-            oracle: Oracle::CompilerLockstep,
-            detail,
-        })
-    };
-    let rv = match parse_program(src) {
-        Ok(p) => p,
-        Err(e) => return fail(format!("{HARNESS_MARKER} source failed to parse: {e}")),
-    };
-    let t = match translate_with_tdm(&rv, COSIM_TDM_WORDS) {
-        Ok(t) => t,
-        Err(e) => return fail(format!("{HARNESS_MARKER} translation failed: {e}")),
-    };
-    let cosim = match CoSim::new(&rv, &t, rv32_budget) {
-        Ok(c) => c,
-        Err(e) => return fail(format!("{HARNESS_MARKER} {e}")),
-    };
+) -> Result<(), String> {
+    let rv =
+        parse_program(src).map_err(|e| format!("{HARNESS_MARKER} source failed to parse: {e}"))?;
+    let t = translate_with_tdm(&rv, COSIM_TDM_WORDS)
+        .map_err(|e| format!("{HARNESS_MARKER} translation failed: {e}"))?;
+    let cosim = CoSim::new(&rv, &t, rv32_budget).map_err(|e| format!("{HARNESS_MARKER} {e}"))?;
     let builder = SimBuilder::new(&t.program).tdm_words(cosim.tdm_words());
     let mut core = builder.build_functional();
-    if let Some(d) = cosim.run(&mut core, stats) {
-        return Some(d);
-    }
+    cosim.run(&mut core, stats)?;
     // Second pass with the threaded backend: translation validation at
     // RV32-instruction granularity doubles as a conformance check of
     // its compiled-op stepping path on real (non-random) control flow.
     let mut threaded = builder.build_threaded();
-    cosim.run(&mut threaded, stats).map(|d| Divergence {
-        oracle: d.oracle,
-        detail: format!("threaded backend: {}", d.detail),
-    })
+    cosim
+        .run(&mut threaded, stats)
+        .map_err(|d| format!("threaded backend: {d}"))
 }
 
 #[cfg(test)]
@@ -683,8 +629,9 @@ mod tests {
 
     fn clean(src: &str) {
         let mut stats = OracleStats::default();
-        let d = check_compiler_lockstep(src, 100_000, &mut stats);
-        assert!(d.is_none(), "{}\n{src}", d.unwrap());
+        if let Err(d) = check_compiler_lockstep(src, 100_000, &mut stats) {
+            panic!("{d}\n{src}");
+        }
         assert!(stats.cosim_sync_points > 0);
     }
 
@@ -730,22 +677,14 @@ mod tests {
                         .tdm_words(cosim.tdm_words())
                         .backend(backend)
                         .build();
-                    let d = cosim.run(&mut *core, &mut stats);
-                    assert!(
-                        d.is_none(),
-                        "{} iter {i} on {backend}: {}\n{src}",
-                        mix.name(),
-                        d.unwrap()
-                    );
+                    if let Err(d) = cosim.run(&mut *core, &mut stats) {
+                        panic!("{} iter {i} on {backend}: {d}\n{src}", mix.name());
+                    }
                 }
                 let mut stats = OracleStats::default();
-                let d = cosim.run_pipelined(&mut stats);
-                assert!(
-                    d.is_none(),
-                    "{} iter {i} pipelined: {}\n{src}",
-                    mix.name(),
-                    d.unwrap()
-                );
+                if let Err(d) = cosim.run_pipelined(&mut stats) {
+                    panic!("{} iter {i} pipelined: {d}\n{src}", mix.name());
+                }
                 assert!(stats.cosim_sync_points > 0);
             }
         }
@@ -791,10 +730,9 @@ mod tests {
             .build_functional();
         let d = cosim
             .run(&mut core, &mut stats)
-            .expect("bug must be caught");
-        assert_eq!(d.oracle, Oracle::CompilerLockstep);
-        assert!(d.detail.contains("a0"), "{d}");
-        assert!(d.detail.contains("rv32 #0"), "flagged at the boundary: {d}");
+            .expect_err("bug must be caught");
+        assert!(d.contains("a0"), "{d}");
+        assert!(d.contains("rv32 #0"), "flagged at the boundary: {d}");
     }
 
     #[test]
@@ -821,11 +759,8 @@ mod tests {
             .build_functional();
         let d = cosim
             .run(&mut core, &mut stats)
-            .expect("bug must be caught");
-        assert!(
-            d.detail.contains("mem word") || d.detail.contains("a1"),
-            "{d}"
-        );
+            .expect_err("bug must be caught");
+        assert!(d.contains("mem word") || d.contains("a1"), "{d}");
     }
 
     #[test]
@@ -845,9 +780,11 @@ mod tests {
         });
         let cosim = CoSim::new(&rv, &bad, 10_000).unwrap();
         let mut stats = OracleStats::default();
-        let d = cosim.run_pipelined(&mut stats).expect("bug must be caught");
+        let d = cosim
+            .run_pipelined(&mut stats)
+            .expect_err("bug must be caught");
         assert!(
-            d.detail.contains("trace") || d.detail.contains("crossings") || d.detail.contains("a1"),
+            d.contains("trace") || d.contains("crossings") || d.contains("a1"),
             "{d}"
         );
     }
@@ -855,12 +792,12 @@ mod tests {
     #[test]
     fn harness_failures_are_marked() {
         let mut stats = OracleStats::default();
-        let d = check_compiler_lockstep("not rv32 at all\n", 1_000, &mut stats).unwrap();
-        assert!(d.detail.starts_with(HARNESS_MARKER), "{d}");
+        let d = check_compiler_lockstep("not rv32 at all\n", 1_000, &mut stats).unwrap_err();
+        assert!(d.starts_with(HARNESS_MARKER), "{d}");
         // auipc parses but cannot translate.
-        let d = check_compiler_lockstep("auipc a0, 1\nebreak\n", 1_000, &mut stats).unwrap();
-        assert!(d.detail.starts_with(HARNESS_MARKER), "{d}");
-        assert!(d.detail.contains("translation failed"), "{d}");
+        let d = check_compiler_lockstep("auipc a0, 1\nebreak\n", 1_000, &mut stats).unwrap_err();
+        assert!(d.starts_with(HARNESS_MARKER), "{d}");
+        assert!(d.contains("translation failed"), "{d}");
     }
 
     #[test]

@@ -229,7 +229,6 @@ fn rebuild(text: &[Instruction], data: &[Word9]) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::Oracle;
     use art9_isa::assemble;
     use art9_sim::SimBuilder;
     use ternary::Word9;
@@ -242,7 +241,7 @@ mod tests {
         sim.run(10_000).ok()?;
         if sim.state().reg(art9_isa::TReg::T3) == Word9::from_i64(42).unwrap() {
             Some(Divergence {
-                oracle: Oracle::FunctionalVsReference,
+                oracle: "functional-vs-reference".parse().unwrap(),
                 detail: "t3 == 42".into(),
             })
         } else {
@@ -291,12 +290,12 @@ mod tests {
         fn oracle(p: &Program) -> Option<Divergence> {
             if marker(p, 1) {
                 Some(Divergence {
-                    oracle: Oracle::FunctionalVsReference,
+                    oracle: "functional-vs-reference".parse().unwrap(),
                     detail: "t5 state mismatch".into(),
                 })
             } else if marker(p, 2) {
                 Some(Divergence {
-                    oracle: Oracle::FunctionalVsReference,
+                    oracle: "functional-vs-reference".parse().unwrap(),
                     detail: format!("program {} 100 steps", Divergence::BUDGET_MARKER),
                 })
             } else {

@@ -1,15 +1,23 @@
-//! Lockstep co-simulation oracles.
+//! The oracle table and its checks.
 //!
-//! Every generated program runs through five independent executions —
-//! the functional simulator, the per-trit
-//! [`ReferenceSim`](art9_sim::ReferenceSim), the direct-threaded
-//! [`ThreadedSim`](art9_sim::ThreadedSim), and the pipelined simulator
-//! with forwarding on and off — plus the toolchain roundtrip
-//! (encode → decode → disassemble → reassemble). A further oracle
-//! exercises the packed-vs-tritwise arithmetic layer directly on
-//! random words. Any disagreement is reported as a [`Divergence`]
-//! naming the oracle, the step, and the first differing piece of
-//! state.
+//! [`ORACLES`] lists every differential oracle once, in execution
+//! order: a name, a one-line description, and a check whose kind says
+//! what it consumes — the generated ART-9 program, operands drawn from
+//! the iteration RNG (value-level), or generated RV32 source. The CLI,
+//! the campaign loop, the minimizer's re-check and replay dispatch are
+//! all derived from the table, and every check returns only the
+//! divergence detail; the runner names the oracle. Adding an oracle is
+//! one row plus one check function.
+//!
+//! The program-level rows run the toolchain roundtrip (encode → decode
+//! → disassemble → reassemble), then the functional simulator against
+//! the per-trit [`ReferenceSim`](art9_sim::ReferenceSim) and the
+//! direct-threaded [`ThreadedSim`](art9_sim::ThreadedSim), differential
+//! energy accounting, sliced and migrated execution, and the pipelined
+//! simulator with forwarding on and off. The value-level rows
+//! cross-check the packed arithmetic, SIMD-lane and wide-width kernels
+//! against their tritwise references; the RV32 row is the cross-ISA
+//! [compiler lockstep](crate::CoSim).
 //!
 //! The functional/reference and functional/threaded pairs run **step
 //! for step** through the generic [`lockstep`] entry point — any two
@@ -31,124 +39,146 @@ use std::sync::{Arc, Mutex};
 use art9_isa::{assemble, decode, disassemble_word, encode, Instruction, Program, ALL_REGS};
 use art9_sim::observers::EnergyAccounting;
 use art9_sim::{
-    Backend, Budget, Checkpoint, Core, CoreState, HaltReason, PredecodedProgram, SimBuilder,
+    Backend, Budget, Checkpoint, Core, CoreState, FunctionalSim, HaltReason, PredecodedProgram,
+    SimBuilder, SimError,
 };
 use ternary::simd::{self, LaneWeights, PackedWeights, Word9xN};
 use ternary::{arith, Trit, Trits, Word9};
 
+use crate::cosim::check_compiler_lockstep;
 use crate::gen::MIN_TDM_WORDS;
 use crate::rng::FuzzRng;
+use crate::FuzzConfig;
 
 /// TDM size every oracle runs with: covers the generator's base window
 /// and matches the default simulator configuration.
-pub const ORACLE_TDM_WORDS: usize = if MIN_TDM_WORDS > 256 {
+const ORACLE_TDM_WORDS: usize = if MIN_TDM_WORDS > 256 {
     MIN_TDM_WORDS
 } else {
     256
 };
 
-/// The oracles a program runs through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Oracle {
-    /// Functional simulator vs the per-trit reference, in lockstep.
-    FunctionalVsReference,
-    /// Functional simulator vs the direct-threaded backend: a
-    /// per-instruction lockstep run, then a fresh free run through the
-    /// fused superblock path compared at halt.
-    FunctionalVsThreaded,
-    /// Pipelined simulator (forwarding on) vs functional, at halt.
-    PipelinedForwarding,
-    /// Pipelined simulator (forwarding off) vs functional, at halt.
-    PipelinedNoForwarding,
-    /// Trit-flip energy accounting: the same program measured on the
-    /// functional, threaded and pipelined simulators with the packed
-    /// (`flips_from`) flip kernel and on the per-trit reference
-    /// simulator with the tritwise flip reference — every per-opcode,
-    /// per-structure flip counter must be bit-identical.
-    Energy,
-    /// The service scheduler's execution model, checked differentially:
-    /// a run sliced on random [`Budget::Retired`] quanta and *migrated*
-    /// between architectural backends at random slice boundaries
-    /// (checkpoint-text roundtrip, shared energy observer) must be
-    /// bit-identical to a straight-line run — final state, halt reason,
-    /// retirement count, instruction mix and per-opcode energy
-    /// counters.
-    SliceMigrate,
-    /// encode → decode → disassemble → reassemble roundtrip.
-    ToolchainRoundtrip,
-    /// Packed bitplane kernels vs the tritwise reference algorithms.
-    Arithmetic,
-    /// Bitplane-SIMD lane subsystem ([`Word9xN`]) vs the per-trit
-    /// lanewise references in `ternary::arith`: lane-parallel add,
-    /// subtract, negate, logic, compare, ternary-weight MAC and
-    /// horizontal reduce on adversarial lane counts (word-boundary
-    /// ±1), ±3^k lane values, all-zero weight vectors and mixed-sign
-    /// MACs.
-    Simd,
-    /// Wide-width arithmetic: packed kernels vs the trit-serial
-    /// references at every width past the 9-trit machine word —
-    /// single-plane `Trits<40>`/`Trits<63>` (the band the pre-fix
-    /// constants made uninstantiable), the multi-plane
-    /// `Word27`/`Word81` words (cross-plane carry ripple, the 81-trit
-    /// range exceeding `i128`), and the tapered-precision
-    /// `TernaryReal` add/mul against the exact-integer rounding
-    /// reference.
-    Wide,
-    /// RV32→ART-9 translation vs the `rv32` machine, in lockstep at
-    /// RV32-instruction granularity (see [`crate::CoSim`]). Runs on
-    /// generated RV32 programs, not ART-9 ones.
-    CompilerLockstep,
+/// Every oracle, in execution order.
+///
+/// The order is part of every campaign's identity: a campaign
+/// iteration generates its ART-9 program before the first program- or
+/// value-level row, the value-level rows then draw their operands from
+/// the same RNG, and the RV32 source is generated last. Reordering the
+/// rows changes every digest.
+pub static ORACLES: [Oracle; 11] = [
+    Oracle {
+        name: "toolchain-roundtrip",
+        about: "encode → decode → disassemble → reassemble reproduces every instruction",
+        check: Check::Program(roundtrip),
+    },
+    Oracle {
+        name: "functional-vs-reference",
+        about: "functional simulator vs the per-trit reference, step for step",
+        check: Check::Program(functional_vs_reference),
+    },
+    Oracle {
+        name: "functional-vs-threaded",
+        about: "functional vs direct-threaded: stepped in lockstep, then a fused free run",
+        check: Check::Program(functional_vs_threaded),
+    },
+    Oracle {
+        name: "energy",
+        about: "packed flip accounting on three backends vs the tritwise reference",
+        check: Check::Program(energy),
+    },
+    Oracle {
+        name: "slice-migrate",
+        about: "sliced, cross-backend-migrated execution vs one straight-line run",
+        check: Check::Program(slice_migrate),
+    },
+    Oracle {
+        name: "pipelined-fwd",
+        about: "pipelined simulator (forwarding on) vs functional, at halt",
+        check: Check::Program(|case, stats| pipelined(case, true, stats)),
+    },
+    Oracle {
+        name: "pipelined-nofwd",
+        about: "pipelined simulator (forwarding off) vs functional, at halt",
+        check: Check::Program(|case, stats| pipelined(case, false, stats)),
+    },
+    Oracle {
+        name: "arithmetic",
+        about: "packed Word9 kernels vs the tritwise references (value-level)",
+        check: Check::Values(|rng, cfg, stats| check_arith(rng, cfg.arith_pairs, stats)),
+    },
+    Oracle {
+        name: "simd",
+        about: "Word9xN lane ops vs the lanewise references (value-level)",
+        check: Check::Values(|rng, cfg, stats| check_simd(rng, cfg.simd_sets, stats)),
+    },
+    Oracle {
+        name: "wide",
+        about: "40- to 81-trit words and tapered reals vs trit-serial references (value-level)",
+        check: Check::Values(|rng, cfg, stats| check_wide(rng, cfg.wide_sets, stats)),
+    },
+    Oracle {
+        name: "compiler-lockstep",
+        about: "RV32 machine vs its ART-9 translation at every RV32 instruction boundary",
+        check: Check::Rv32(check_compiler_lockstep),
+    },
+];
+
+/// One differential oracle: a row of [`ORACLES`]. Rows are compared
+/// and printed by name.
+pub struct Oracle {
+    /// Stable name (used in replay files, reports, and the `--oracle`
+    /// CLI filter).
+    pub name: &'static str,
+    /// One-line description (the `--help` listing).
+    pub about: &'static str,
+    pub(crate) check: Check,
 }
 
-impl Oracle {
-    /// Every oracle, in campaign order.
-    pub const ALL: [Oracle; 11] = [
-        Oracle::FunctionalVsReference,
-        Oracle::FunctionalVsThreaded,
-        Oracle::Energy,
-        Oracle::SliceMigrate,
-        Oracle::PipelinedForwarding,
-        Oracle::PipelinedNoForwarding,
-        Oracle::ToolchainRoundtrip,
-        Oracle::Arithmetic,
-        Oracle::Simd,
-        Oracle::Wide,
-        Oracle::CompilerLockstep,
-    ];
+/// What a row's check consumes, and the check itself. A check returns
+/// the first difference it found; the runner names the oracle.
+#[derive(Clone, Copy)]
+pub(crate) enum Check {
+    /// The generated ART-9 program, through the context the
+    /// program-level rows share.
+    Program(fn(&mut ProgramCase, &mut OracleStats) -> Result<(), String>),
+    /// Operands drawn from the iteration RNG after program generation.
+    /// Value-level: a finding has no program to replay.
+    Values(fn(&mut FuzzRng, &FuzzConfig, &mut OracleStats) -> Result<(), String>),
+    /// Generated RV32 source, with its step budget.
+    Rv32(fn(&str, u64, &mut OracleStats) -> Result<(), String>),
+}
 
-    /// Stable display name (used in replay files, reports, and the
-    /// `--oracle` CLI filter).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Oracle::FunctionalVsReference => "functional-vs-reference",
-            Oracle::FunctionalVsThreaded => "functional-vs-threaded",
-            Oracle::Energy => "energy",
-            Oracle::SliceMigrate => "slice-migrate",
-            Oracle::PipelinedForwarding => "pipelined-fwd",
-            Oracle::PipelinedNoForwarding => "pipelined-nofwd",
-            Oracle::ToolchainRoundtrip => "toolchain-roundtrip",
-            Oracle::Arithmetic => "arithmetic",
-            Oracle::Simd => "simd",
-            Oracle::Wide => "wide",
-            Oracle::CompilerLockstep => "compiler-lockstep",
-        }
+impl PartialEq for Oracle {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
     }
 }
 
-impl std::str::FromStr for Oracle {
+impl Eq for Oracle {}
+
+impl std::fmt::Debug for Oracle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name)
+    }
+}
+
+impl std::fmt::Display for Oracle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name)
+    }
+}
+
+impl std::str::FromStr for &'static Oracle {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Oracle::ALL
-            .into_iter()
-            .find(|o| o.name() == s)
-            .ok_or_else(|| {
-                let names: Vec<_> = Oracle::ALL.iter().map(|o| o.name()).collect();
-                format!(
-                    "unknown oracle {s:?} (expected one of: {})",
-                    names.join(", ")
-                )
-            })
+        ORACLES.iter().find(|o| o.name == s).ok_or_else(|| {
+            let names: Vec<_> = ORACLES.iter().map(|o| o.name).collect();
+            format!(
+                "unknown oracle {s:?} (expected one of: {})",
+                names.join(", ")
+            )
+        })
     }
 }
 
@@ -156,15 +186,15 @@ impl std::str::FromStr for Oracle {
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// The oracle that caught it.
-    pub oracle: Oracle,
+    pub oracle: &'static Oracle,
     /// Human-readable description of the first difference.
     pub detail: String,
 }
 
 impl Divergence {
-    /// Marker phrase shared by the two budget-exhaustion reports (kept
-    /// in one place so [`Divergence::is_budget_exhaustion`] cannot
-    /// drift from the messages).
+    /// Marker phrase shared by the budget-exhaustion reports (kept in
+    /// one place so [`Divergence::is_budget_exhaustion`] cannot drift
+    /// from the messages).
     pub(crate) const BUDGET_MARKER: &'static str = "exceeded the budget of";
 
     /// `true` when this divergence reports budget exhaustion (a
@@ -177,18 +207,18 @@ impl Divergence {
 
 impl std::fmt::Display for Divergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}] {}", self.oracle.name(), self.detail)
+        write!(f, "[{}] {}", self.oracle, self.detail)
     }
 }
 
-/// Per-program oracle statistics (folded into the fuzz report).
+/// Work counters of one row (or, summed, of a whole campaign).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OracleStats {
     /// Instructions the functional simulator executed.
     pub functional_instructions: u64,
     /// Instructions the threaded backend retired (stepped + fused runs).
     pub threaded_instructions: u64,
-    /// Cycles the two pipelined runs consumed together.
+    /// Cycles the pipelined runs consumed.
     pub pipelined_cycles: u64,
     /// Individual roundtrip checks performed.
     pub roundtrip_checks: u64,
@@ -237,25 +267,40 @@ impl OracleStats {
     }
 }
 
-/// How a [`lockstep`] co-simulation ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LockstepOutcome {
-    /// Both cores halted identically and agreed at every step.
-    Agreed(HaltReason),
-    /// The first disagreement (or a fault on either side), described.
-    Diverged(String),
-    /// Neither halt nor disagreement within the step budget.
-    BudgetExhausted,
-    /// A backend that cannot step architecturally (the pipeline) was
-    /// passed; no steps were executed.
-    Unsupported(String),
+/// The nonzero counters with their labels, e.g. `677 slices, 215
+/// cross-backend migrations`.
+impl std::fmt::Display for OracleStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let counters = [
+            (self.functional_instructions, "functional instructions"),
+            (self.threaded_instructions, "threaded instructions"),
+            (self.pipelined_cycles, "pipelined cycles"),
+            (self.roundtrip_checks, "roundtrip checks"),
+            (self.arith_checks, "arithmetic checks"),
+            (self.simd_checks, "simd-lane checks"),
+            (self.wide_checks, "wide-width checks"),
+            (self.energy_flips, "energy flips cross-checked"),
+            (self.slice_migrate_slices, "slices"),
+            (self.slice_migrate_migrations, "cross-backend migrations"),
+            (self.cosim_rv32_instructions, "rv32 instructions"),
+            (self.cosim_art9_instructions, "art9 instructions"),
+            (self.cosim_sync_points, "sync points"),
+        ];
+        let nonzero: Vec<String> = counters
+            .iter()
+            .filter(|(n, _)| *n > 0)
+            .map(|(n, label)| format!("{n} {label}"))
+            .collect();
+        f.write_str(&nonzero.join(", "))
+    }
 }
 
 /// Runs two **architectural** [`Core`] backends in lockstep for up to
 /// `max_steps` steps: after every step the halt state, the PC and all
 /// nine TRF registers are compared; at halt the TDM and the
-/// retired-instruction counts are compared too. Differences are
-/// described naming each side's backend.
+/// retired-instruction counts are compared too. Returns the halt both
+/// agreed on, or the first difference described naming each side's
+/// backend (a fault on either side and budget exhaustion included).
 ///
 /// Generic over `Core + ?Sized`, so it accepts concrete simulators and
 /// `dyn Core` trait objects alike — the same entry point serves the
@@ -264,16 +309,16 @@ pub enum LockstepOutcome {
 /// The pipelined backend cannot run in lockstep — one of its steps is
 /// a clock cycle, it retires instructions stages later, and it does
 /// not maintain an architectural PC between steps — so passing it on
-/// either side is rejected up front ([`LockstepOutcome::Unsupported`])
-/// instead of producing a spurious first-step divergence. Compare the
-/// pipeline at halt, as [`check_program`] does.
-pub fn lockstep<A, B>(a: &mut A, b: &mut B, max_steps: u64) -> LockstepOutcome
+/// either side is refused up front, before any step, instead of
+/// producing a spurious first-step divergence. Compare the pipeline at
+/// halt, as the `pipelined-*` oracles do.
+pub fn lockstep<A, B>(a: &mut A, b: &mut B, max_steps: u64) -> Result<HaltReason, String>
 where
     A: Core + ?Sized,
     B: Core + ?Sized,
 {
     if a.backend() == Backend::Pipelined || b.backend() == Backend::Pipelined {
-        return LockstepOutcome::Unsupported(
+        return Err(
             "the pipelined backend steps by clock cycle and exposes architectural state \
              only at retirement; run it to halt and compare final states instead"
                 .into(),
@@ -281,28 +326,22 @@ where
     }
     let (an, bn) = (a.backend().name(), b.backend().name());
     for _ in 0..=max_steps {
-        let ha = match a.step() {
-            Ok(h) => h,
-            Err(e) => return LockstepOutcome::Diverged(format!("{an} core faulted: {e}")),
-        };
-        let hb = match b.step() {
-            Ok(h) => h,
-            Err(e) => return LockstepOutcome::Diverged(format!("{bn} core faulted: {e}")),
-        };
+        let ha = a.step().map_err(|e| format!("{an} core faulted: {e}"))?;
+        let hb = b.step().map_err(|e| format!("{bn} core faulted: {e}"))?;
         if ha != hb {
-            return LockstepOutcome::Diverged(format!(
+            return Err(format!(
                 "halt disagreement after {} instructions: {an} {ha:?}, {bn} {hb:?}",
                 a.retired()
             ));
         }
         if let Some(d) = step_difference(a.state(), b.state(), an, bn) {
-            return LockstepOutcome::Diverged(format!("after {} instructions: {d}", a.retired()));
+            return Err(format!("after {} instructions: {d}", a.retired()));
         }
         if let Some(halt) = ha {
             // Memory is compared once at halt; registers were compared
             // every step.
             if a.state().tdm.size() != b.state().tdm.size() {
-                return LockstepOutcome::Diverged(format!(
+                return Err(format!(
                     "TDM sizes {} ({an}) vs {} ({bn})",
                     a.state().tdm.size(),
                     b.state().tdm.size()
@@ -310,7 +349,7 @@ where
             }
             for (addr, (x, y)) in a.state().tdm.iter().zip(b.state().tdm.iter()).enumerate() {
                 if x != y {
-                    return LockstepOutcome::Diverged(format!(
+                    return Err(format!(
                         "TDM[{addr}] = {} ({an}) vs {} ({bn}) at halt",
                         x.to_i64(),
                         y.to_i64()
@@ -318,16 +357,16 @@ where
                 }
             }
             if a.retired() != b.retired() {
-                return LockstepOutcome::Diverged(format!(
+                return Err(format!(
                     "instruction counts differ: {} vs {}",
                     a.retired(),
                     b.retired()
                 ));
             }
-            return LockstepOutcome::Agreed(halt);
+            return Ok(halt);
         }
     }
-    LockstepOutcome::BudgetExhausted
+    Err(exhausted("program", max_steps, "steps"))
 }
 
 /// The first per-step difference between two architectural states:
@@ -350,228 +389,117 @@ fn step_difference(a: &CoreState, b: &CoreState, an: &str, bn: &str) -> Option<S
     None
 }
 
-/// Runs every program-level oracle on `program`; see
-/// [`check_program_filtered`] for running a single oracle.
-pub fn check_program(program: &Program, step_budget: u64) -> (OracleStats, Option<Divergence>) {
-    check_program_filtered(program, step_budget, None)
+/// A budget-exhaustion detail: `{what} exceeded the budget of {n} {unit}`.
+fn exhausted(what: &str, n: u64, unit: &str) -> String {
+    format!("{what} {} {n} {unit}", Divergence::BUDGET_MARKER)
 }
 
-/// Runs the program-level oracles on `program`, restricted to `only`
-/// when set (the `--oracle` triage filter; the pipelined oracles still
-/// execute the functional simulator once as their comparison baseline).
-///
-/// Returns the first divergence found (checking stops there — the
-/// minimizer will re-run the same check on reduced programs) plus the
-/// work counters.
-///
-/// `step_budget` bounds the functional/reference runs; the pipelined
-/// runs get `16×` that in cycles (a generated program's CPI is far
-/// below that — exhausting the budget is itself a divergence).
-pub fn check_program_filtered(
-    program: &Program,
+/// What the program-level rows share about one program: its simulator
+/// builder and step budget, plus the functional baseline the pipelined
+/// rows compare against once some row has run it.
+pub(crate) struct ProgramCase {
+    pub(crate) program: Program,
+    builder: SimBuilder,
+    image_hash: u64,
+    /// Bounds the architectural runs; the pipelined runs get `16×`
+    /// that in cycles (a generated program's CPI is far below that —
+    /// exhausting the budget is itself a divergence).
     step_budget: u64,
-    only: Option<Oracle>,
-) -> (OracleStats, Option<Divergence>) {
-    let mut stats = OracleStats::default();
-    let enabled = |o: Oracle| only.is_none() || only == Some(o);
+    baseline: Option<(FunctionalSim, HaltReason)>,
+}
 
-    if enabled(Oracle::ToolchainRoundtrip) {
-        if let Some(d) = roundtrip_oracle(program, &mut stats) {
-            return (stats, Some(d));
+impl ProgramCase {
+    pub(crate) fn new(program: Program, step_budget: u64) -> Self {
+        let image = PredecodedProgram::new(&program);
+        let image_hash = image.content_hash();
+        let builder = SimBuilder::new(&image).tdm_words(ORACLE_TDM_WORDS);
+        Self {
+            program,
+            builder,
+            image_hash,
+            step_budget,
+            baseline: None,
         }
     }
 
-    let run_fwd = enabled(Oracle::PipelinedForwarding);
-    let run_nofwd = enabled(Oracle::PipelinedNoForwarding);
-    let run_lockstep = enabled(Oracle::FunctionalVsReference);
-    let run_threaded = enabled(Oracle::FunctionalVsThreaded);
-    let run_energy = enabled(Oracle::Energy);
-    let run_slice_migrate = enabled(Oracle::SliceMigrate);
-    if !(run_lockstep || run_fwd || run_nofwd || run_threaded || run_energy || run_slice_migrate) {
-        return (stats, None);
+    /// The halted functional run the pipelined rows compare against:
+    /// the one `functional-vs-reference` left, or — when that row did
+    /// not run — a fresh run here, charged (and a fault reported) to
+    /// the asking row.
+    fn baseline(
+        &mut self,
+        stats: &mut OracleStats,
+    ) -> Result<&(FunctionalSim, HaltReason), String> {
+        if self.baseline.is_none() {
+            let mut func = self.builder.build_functional();
+            let result = func.run(self.step_budget);
+            stats.functional_instructions += func.instructions();
+            let halt = match result {
+                Ok(r) => r.halt,
+                Err(SimError::Timeout { .. }) => {
+                    return Err(exhausted("program", self.step_budget, "steps"))
+                }
+                Err(e) => return Err(format!("functional baseline faulted: {e}")),
+            };
+            self.baseline = Some((func, halt));
+        }
+        Ok(self.baseline.as_ref().expect("baseline was just run"))
     }
+}
 
-    let image = PredecodedProgram::new(program);
-    let image_hash = image.content_hash();
-    let builder = SimBuilder::new(&image).tdm_words(ORACLE_TDM_WORDS);
+/// The functional-vs-reference oracle: the functional simulator and
+/// the per-trit reference in [`lockstep`]. The halted functional core
+/// becomes the pipelined rows' baseline.
+fn functional_vs_reference(case: &mut ProgramCase, stats: &mut OracleStats) -> Result<(), String> {
+    let mut func = case.builder.build_functional();
+    let mut reference = case.builder.build_reference();
+    let outcome = lockstep(&mut func, &mut reference, case.step_budget);
+    stats.functional_instructions += func.instructions();
+    case.baseline = Some((func, outcome?));
+    Ok(())
+}
 
-    // The threaded, energy and slice-migrate oracles are self-contained
-    // (each runs its own set of simulators), so a filter selecting only
-    // them skips everything else.
-    if !(run_lockstep || run_fwd || run_nofwd) {
-        if run_threaded {
-            if let Some(d) = threaded_oracle(&builder, step_budget, &mut stats) {
-                return (stats, Some(d));
-            }
+/// The pipelined oracles: the pipelined simulator, forwarding on or
+/// off, run to halt and compared against the functional baseline —
+/// halt reason, retired-instruction count, registers and TDM.
+fn pipelined(
+    case: &mut ProgramCase,
+    forwarding: bool,
+    stats: &mut OracleStats,
+) -> Result<(), String> {
+    let mut pipe = case
+        .builder
+        .clone()
+        .forwarding(forwarding)
+        .build_pipelined();
+    let cycle_budget = case.step_budget.saturating_mul(16).max(1024);
+    let (func, func_halt) = case.baseline(stats)?;
+    let halt = loop {
+        if pipe.stats().cycles > cycle_budget {
+            break Err(exhausted("pipeline", cycle_budget, "cycles"));
         }
-        if run_energy {
-            if let Some(d) = energy_oracle(&builder, step_budget, &mut stats) {
-                return (stats, Some(d));
-            }
-        }
-        if run_slice_migrate {
-            if let Some(d) = slice_migrate_oracle(&builder, image_hash, step_budget, &mut stats) {
-                return (stats, Some(d));
-            }
-        }
-        return (stats, None);
-    }
-
-    // --- Functional vs per-trit reference, in lockstep ---------------
-    // (When filtered to a pipelined oracle, the functional simulator
-    // still runs — alone — as that oracle's baseline.)
-    let mut func = builder.build_functional();
-    let func_halt = if run_lockstep {
-        let mut reference = builder.build_reference();
-        let outcome = lockstep(&mut func, &mut reference, step_budget);
-        stats.functional_instructions = func.instructions();
-        match outcome {
-            LockstepOutcome::Diverged(detail) => {
-                return (
-                    stats,
-                    Some(Divergence {
-                        oracle: Oracle::FunctionalVsReference,
-                        detail,
-                    }),
-                );
-            }
-            LockstepOutcome::BudgetExhausted => {
-                return (
-                    stats,
-                    Some(Divergence {
-                        oracle: Oracle::FunctionalVsReference,
-                        detail: format!(
-                            "program {} {step_budget} steps",
-                            Divergence::BUDGET_MARKER
-                        ),
-                    }),
-                );
-            }
-            LockstepOutcome::Unsupported(why) => {
-                unreachable!("architectural backends rejected by lockstep: {why}")
-            }
-            LockstepOutcome::Agreed(halt) => halt,
-        }
-    } else {
-        let baseline_oracle = if run_fwd {
-            Oracle::PipelinedForwarding
-        } else {
-            Oracle::PipelinedNoForwarding
-        };
-        match func.run(step_budget) {
-            Ok(result) => {
-                stats.functional_instructions = func.instructions();
-                result.halt
-            }
-            Err(e) => {
-                stats.functional_instructions = func.instructions();
-                let detail = if matches!(e, art9_sim::SimError::Timeout { .. }) {
-                    format!("program {} {step_budget} steps", Divergence::BUDGET_MARKER)
-                } else {
-                    format!("functional baseline faulted: {e}")
-                };
-                return (
-                    stats,
-                    Some(Divergence {
-                        oracle: baseline_oracle,
-                        detail,
-                    }),
-                );
-            }
+        match pipe.cycle() {
+            Ok(Some(h)) => break Ok(h),
+            Ok(None) => {}
+            Err(e) => break Err(format!("pipelined simulator faulted: {e}")),
         }
     };
-
-    // --- Functional vs direct-threaded, in campaign order ------------
-    if run_threaded {
-        if let Some(d) = threaded_oracle(&builder, step_budget, &mut stats) {
-            return (stats, Some(d));
-        }
+    stats.pipelined_cycles += pipe.stats().cycles;
+    let halt = halt?;
+    if halt != *func_halt {
+        return Err(format!("halt reason {halt:?} vs functional {func_halt:?}"));
     }
-
-    // --- Differential energy accounting ------------------------------
-    if run_energy {
-        if let Some(d) = energy_oracle(&builder, step_budget, &mut stats) {
-            return (stats, Some(d));
-        }
+    if pipe.stats().instructions != func.instructions() {
+        return Err(format!(
+            "retired {} instructions vs functional {}",
+            pipe.stats().instructions,
+            func.instructions()
+        ));
     }
-
-    // --- Budget-sliced, migrated execution vs straight-line ----------
-    if run_slice_migrate {
-        if let Some(d) = slice_migrate_oracle(&builder, image_hash, step_budget, &mut stats) {
-            return (stats, Some(d));
-        }
+    match func.state().first_difference(pipe.state()) {
+        Some(d) => Err(d),
+        None => Ok(()),
     }
-
-    // --- Pipelined (both forwarding settings) vs functional ----------
-    for (oracle, forwarding) in [
-        (Oracle::PipelinedForwarding, true),
-        (Oracle::PipelinedNoForwarding, false),
-    ] {
-        if !enabled(oracle) {
-            continue;
-        }
-        let mut pipe = builder.clone().forwarding(forwarding).build_pipelined();
-        let cycle_budget = step_budget.saturating_mul(16).max(1024);
-        let halt = loop {
-            if pipe.stats().cycles > cycle_budget {
-                break None;
-            }
-            match pipe.cycle() {
-                Ok(Some(h)) => break Some(h),
-                Ok(None) => {}
-                Err(e) => {
-                    stats.pipelined_cycles += pipe.stats().cycles;
-                    return (
-                        stats,
-                        Some(Divergence {
-                            oracle,
-                            detail: format!("pipelined simulator faulted: {e}"),
-                        }),
-                    );
-                }
-            }
-        };
-        stats.pipelined_cycles += pipe.stats().cycles;
-        let Some(halt) = halt else {
-            return (
-                stats,
-                Some(Divergence {
-                    oracle,
-                    detail: format!(
-                        "pipeline {} {cycle_budget} cycles",
-                        Divergence::BUDGET_MARKER
-                    ),
-                }),
-            );
-        };
-        if halt != func_halt {
-            return (
-                stats,
-                Some(Divergence {
-                    oracle,
-                    detail: format!("halt reason {halt:?} vs functional {func_halt:?}"),
-                }),
-            );
-        }
-        if pipe.stats().instructions != func.instructions() {
-            return (
-                stats,
-                Some(Divergence {
-                    oracle,
-                    detail: format!(
-                        "retired {} instructions vs functional {}",
-                        pipe.stats().instructions,
-                        func.instructions()
-                    ),
-                }),
-            );
-        }
-        if let Some(d) = func.state().first_difference(pipe.state()) {
-            return (stats, Some(Divergence { oracle, detail: d }));
-        }
-    }
-
-    (stats, None)
 }
 
 /// The functional-vs-threaded oracle: one per-instruction [`lockstep`]
@@ -580,68 +508,46 @@ pub fn check_program_filtered(
 /// superblock dispatch path, compared against the functional final
 /// state, retirement count and instruction mix. Fusion must be
 /// architecturally invisible — both runs land on the same point.
-fn threaded_oracle(
-    builder: &SimBuilder,
-    step_budget: u64,
-    stats: &mut OracleStats,
-) -> Option<Divergence> {
-    let fail = |detail: String| {
-        Some(Divergence {
-            oracle: Oracle::FunctionalVsThreaded,
-            detail,
-        })
-    };
-    let mut func = builder.build_functional();
-    let mut threaded = builder.build_threaded();
-    let halt = match lockstep(&mut func, &mut threaded, step_budget) {
-        LockstepOutcome::Diverged(detail) => return fail(detail),
-        LockstepOutcome::BudgetExhausted => {
-            return fail(format!(
-                "program {} {step_budget} steps",
-                Divergence::BUDGET_MARKER
-            ));
-        }
-        LockstepOutcome::Unsupported(why) => {
-            unreachable!("architectural backends rejected by lockstep: {why}")
-        }
-        LockstepOutcome::Agreed(halt) => halt,
-    };
+fn functional_vs_threaded(case: &mut ProgramCase, stats: &mut OracleStats) -> Result<(), String> {
+    let step_budget = case.step_budget;
+    let mut func = case.builder.build_functional();
+    let mut threaded = case.builder.build_threaded();
+    let halt = lockstep(&mut func, &mut threaded, step_budget)?;
     stats.threaded_instructions += threaded.retired();
 
     // Same program, fresh core, free-running this time: `run_for`
     // dispatches whole fused superblocks instead of single ops, so the
     // hot path gets differential coverage too. (The lockstep run above
     // halted within the budget; +2 covers the zero-retire halt step.)
-    let mut hot = builder.build_threaded();
-    match hot.run_for(Budget::Steps(step_budget.saturating_add(2))) {
-        Ok(summary) if summary.halt == Some(halt) => {}
-        Ok(summary) => {
-            return fail(format!(
-                "fused run halted {:?} vs {halt:?} when stepped",
-                summary.halt
-            ));
-        }
-        Err(e) => return fail(format!("fused run faulted: {e}")),
+    let mut hot = case.builder.build_threaded();
+    let summary = hot
+        .run_for(Budget::Steps(step_budget.saturating_add(2)))
+        .map_err(|e| format!("fused run faulted: {e}"))?;
+    if summary.halt != Some(halt) {
+        return Err(format!(
+            "fused run halted {:?} vs {halt:?} when stepped",
+            summary.halt
+        ));
     }
     stats.threaded_instructions += hot.retired();
     if hot.retired() != func.retired() {
-        return fail(format!(
+        return Err(format!(
             "fused run retired {} instructions vs {} stepped",
             hot.retired(),
             func.retired()
         ));
     }
     if hot.instruction_mix() != func.instruction_mix() {
-        return fail(format!(
+        return Err(format!(
             "fused run's instruction mix {:?} differs from the functional mix {:?}",
             hot.instruction_mix(),
             func.instruction_mix()
         ));
     }
-    if let Some(d) = func.state().first_difference(hot.state()) {
-        return fail(format!("fused run final state: {d}"));
+    match func.state().first_difference(hot.state()) {
+        Some(d) => Err(format!("fused run final state: {d}")),
+        None => Ok(()),
     }
-    None
 }
 
 /// The differential energy oracle: the same program runs on the
@@ -653,17 +559,7 @@ fn threaded_oracle(
 /// are thereby cross-checked — a backend that mis-reports a write-back
 /// value, or a packed XOR that miscounts flips, shows up as a
 /// per-opcode counter mismatch.
-fn energy_oracle(
-    builder: &SimBuilder,
-    step_budget: u64,
-    stats: &mut OracleStats,
-) -> Option<Divergence> {
-    let fail = |detail: String| {
-        Some(Divergence {
-            oracle: Oracle::Energy,
-            detail,
-        })
-    };
+fn energy(case: &mut ProgramCase, stats: &mut OracleStats) -> Result<(), String> {
     // The energy comparison is meaningful only over identical
     // executions; architectural divergence is the other oracles'
     // finding, but it would cascade here, so report it under this
@@ -676,48 +572,40 @@ fn energy_oracle(
             None => EnergyAccounting::new(),
         }));
         let budget = match backend {
-            Backend::Pipelined => step_budget.saturating_mul(16),
-            _ => step_budget,
+            Backend::Pipelined => case.step_budget.saturating_mul(16),
+            _ => case.step_budget,
         };
-        let mut core = builder
+        let mut core = case
+            .builder
             .clone()
             .backend(backend)
             .observer(energy.clone())
             .build();
-        match core.run_for(Budget::Steps(budget)) {
-            Ok(summary) => match summary.halt {
-                Some(h) => Ok((h, energy)),
-                None => Err(fail(format!(
-                    "{backend} run {} {budget} steps",
-                    Divergence::BUDGET_MARKER
-                ))),
-            },
-            Err(e) => Err(fail(format!("{backend} run faulted: {e}"))),
+        let summary = core
+            .run_for(Budget::Steps(budget))
+            .map_err(|e| format!("{backend} run faulted: {e}"))?;
+        match summary.halt {
+            Some(h) => Ok((h, energy)),
+            None => Err(exhausted(&format!("{backend} run"), budget, "steps")),
         }
     };
-    let (halt_r, tritwise) = match run(Backend::Reference, Some(arith::flips_tritwise)) {
-        Ok(r) => r,
-        Err(d) => return d,
-    };
+    let (halt_r, tritwise) = run(Backend::Reference, Some(arith::flips_tritwise))?;
     let tritwise = tritwise.lock().expect("observer lock");
     for backend in [Backend::Functional, Backend::Threaded, Backend::Pipelined] {
-        let (halt, packed) = match run(backend, None) {
-            Ok(r) => r,
-            Err(d) => return d,
-        };
+        let (halt, packed) = run(backend, None)?;
         if halt != halt_r {
-            return fail(format!(
+            return Err(format!(
                 "halt reason {halt:?} ({backend}) vs {halt_r:?} (reference)"
             ));
         }
         let packed = packed.lock().expect("observer lock");
         if let Some(d) = activity_difference(&packed, &tritwise) {
-            return fail(format!("{backend}: {d}"));
+            return Err(format!("{backend}: {d}"));
         }
         let t = packed.totals();
         stats.energy_flips += t.regfile + t.tdm + t.fetch + t.alu;
     }
-    None
+    Ok(())
 }
 
 /// The slice-migrate oracle: the service scheduler's execution model,
@@ -733,45 +621,29 @@ fn energy_oracle(
 /// count, instruction mix, final state and per-opcode energy counters
 /// all bit-identical.
 ///
-/// Slice lengths and migration points derive from `seed` (the
-/// program's content hash), so campaigns reproduce bit-for-bit.
-fn slice_migrate_oracle(
-    builder: &SimBuilder,
-    seed: u64,
-    step_budget: u64,
-    stats: &mut OracleStats,
-) -> Option<Divergence> {
-    let fail = |detail: String| {
-        Some(Divergence {
-            oracle: Oracle::SliceMigrate,
-            detail,
-        })
-    };
+/// Slice lengths and migration points derive from the program's
+/// content hash, so campaigns reproduce bit-for-bit.
+fn slice_migrate(case: &mut ProgramCase, stats: &mut OracleStats) -> Result<(), String> {
+    let step_budget = case.step_budget;
 
     // Straight-line baseline.
     let straight_energy = Arc::new(Mutex::new(EnergyAccounting::new()));
-    let mut straight = builder
+    let mut straight = case
+        .builder
         .clone()
         .observer(straight_energy.clone())
         .build_functional();
-    let halt = match straight.run_for(Budget::Steps(step_budget)) {
-        Ok(summary) => match summary.halt {
-            Some(h) => h,
-            None => {
-                return fail(format!(
-                    "straight-line run {} {step_budget} steps",
-                    Divergence::BUDGET_MARKER
-                ));
-            }
-        },
-        Err(e) => return fail(format!("straight-line run faulted: {e}")),
-    };
+    let halt = straight
+        .run_for(Budget::Steps(step_budget))
+        .map_err(|e| format!("straight-line run faulted: {e}"))?
+        .halt
+        .ok_or_else(|| exhausted("straight-line run", step_budget, "steps"))?;
 
     // Sliced, migrated run.
-    let mut rng = FuzzRng::new(seed ^ 0x511c_e513_9a7e_0001);
+    let mut rng = FuzzRng::new(case.image_hash ^ 0x511c_e513_9a7e_0001);
     let rotation = [Backend::Threaded, Backend::Reference, Backend::Functional];
     let sliced_energy = Arc::new(Mutex::new(EnergyAccounting::new()));
-    let sliced_builder = builder.clone().observer(sliced_energy.clone());
+    let sliced_builder = case.builder.clone().observer(sliced_energy.clone());
     let mut core: Box<dyn Core> = sliced_builder.clone().build();
     let mut rotation_index = 0usize;
     let (mut slices, mut migrations) = (0u64, 0u64);
@@ -779,38 +651,30 @@ fn slice_migrate_oracle(
         // Every slice retires at least one instruction, so the slice
         // count bounds total work by the same budget as the baseline.
         if slices > step_budget {
-            return fail(format!(
-                "sliced run {} {step_budget} slices",
-                Divergence::BUDGET_MARKER
-            ));
+            return Err(exhausted("sliced run", step_budget, "slices"));
         }
         slices += 1;
         let target = core.retired() + 1 + rng.below(41);
-        let summary = match core.run_for(Budget::Retired(target)) {
-            Ok(s) => s,
-            Err(e) => {
-                return fail(format!(
-                    "sliced run faulted after {} instructions: {e} \
-                     (straight-line run halted {halt:?})",
-                    core.retired()
-                ));
-            }
-        };
+        let summary = core.run_for(Budget::Retired(target)).map_err(|e| {
+            format!(
+                "sliced run faulted after {} instructions: {e} \
+                 (straight-line run halted {halt:?})",
+                core.retired()
+            )
+        })?;
         if let Some(h) = summary.halt {
             break h;
         }
         if rng.chance(2, 5) {
             let text = core.snapshot().to_text();
-            let checkpoint = match Checkpoint::from_text(&text) {
-                Ok(c) => c,
-                Err(e) => return fail(format!("checkpoint text did not roundtrip: {e}")),
-            };
+            let checkpoint = Checkpoint::from_text(&text)
+                .map_err(|e| format!("checkpoint text did not roundtrip: {e}"))?;
             let backend = rotation[rotation_index % rotation.len()];
             rotation_index += 1;
             let mut fresh = sliced_builder.clone().backend(backend).build();
-            if let Err(e) = fresh.restore(&checkpoint) {
-                return fail(format!("restore into {backend} failed: {e}"));
-            }
+            fresh
+                .restore(&checkpoint)
+                .map_err(|e| format!("restore into {backend} failed: {e}"))?;
             core = fresh;
             migrations += 1;
         }
@@ -819,35 +683,35 @@ fn slice_migrate_oracle(
     stats.slice_migrate_migrations += migrations;
 
     if halt_sliced != halt {
-        return fail(format!(
+        return Err(format!(
             "halt reason {halt_sliced:?} (sliced) vs {halt:?} (straight-line)"
         ));
     }
     if core.retired() != straight.instructions() {
-        return fail(format!(
+        return Err(format!(
             "retired {} instructions (sliced) vs {} (straight-line)",
             core.retired(),
             straight.instructions()
         ));
     }
     if core.instruction_mix() != straight.instruction_mix() {
-        return fail(format!(
+        return Err(format!(
             "instruction mix {:?} (sliced) vs {:?} (straight-line)",
             core.instruction_mix(),
             straight.instruction_mix()
         ));
     }
     if let Some(d) = straight.state().first_difference(core.state()) {
-        return fail(format!("final state: {d}"));
+        return Err(format!("final state: {d}"));
     }
     let straight_acc = straight_energy.lock().expect("observer lock");
     let sliced_acc = sliced_energy.lock().expect("observer lock");
-    if let Some(d) = activity_difference(&straight_acc, &sliced_acc) {
-        return fail(format!(
+    match activity_difference(&straight_acc, &sliced_acc) {
+        Some(d) => Err(format!(
             "energy accounting diverged across slicing/migration: {d}"
-        ));
+        )),
+        None => Ok(()),
     }
-    None
 }
 
 /// The first per-opcode, per-structure difference between two energy
@@ -885,80 +749,41 @@ fn activity_difference(packed: &EnergyAccounting, tritwise: &EnergyAccounting) -
 }
 
 /// The encode → decode → disassemble → reassemble oracle.
-fn roundtrip_oracle(program: &Program, stats: &mut OracleStats) -> Option<Divergence> {
-    for (pc, instr) in program.text().iter().enumerate() {
+fn roundtrip(case: &mut ProgramCase, stats: &mut OracleStats) -> Result<(), String> {
+    for (pc, instr) in case.program.text().iter().enumerate() {
         let word = encode(instr);
         stats.roundtrip_checks += 1;
-        match decode(word) {
-            Ok(back) if back == *instr => {}
-            Ok(back) => {
-                return Some(Divergence {
-                    oracle: Oracle::ToolchainRoundtrip,
-                    detail: format!("pc {pc}: {instr} encoded to {word}, decoded as {back}"),
-                });
-            }
-            Err(e) => {
-                return Some(Divergence {
-                    oracle: Oracle::ToolchainRoundtrip,
-                    detail: format!(
-                        "pc {pc}: {instr} encoded to {word}, which failed to decode: {e}"
-                    ),
-                });
-            }
+        let back = decode(word).map_err(|e| {
+            format!("pc {pc}: {instr} encoded to {word}, which failed to decode: {e}")
+        })?;
+        if back != *instr {
+            return Err(format!(
+                "pc {pc}: {instr} encoded to {word}, decoded as {back}"
+            ));
         }
-        let text = match disassemble_word(word) {
-            Ok(t) => t,
-            Err(e) => {
-                return Some(Divergence {
-                    oracle: Oracle::ToolchainRoundtrip,
-                    detail: format!("pc {pc}: {instr} failed to disassemble: {e}"),
-                });
-            }
-        };
-        match assemble(&text) {
-            Ok(p) if p.text() == [*instr] => {}
-            Ok(p) => {
-                return Some(Divergence {
-                    oracle: Oracle::ToolchainRoundtrip,
-                    detail: format!(
-                        "pc {pc}: {instr} disassembled to {text:?}, reassembled as {:?}",
-                        p.text()
-                    ),
-                });
-            }
-            Err(e) => {
-                return Some(Divergence {
-                    oracle: Oracle::ToolchainRoundtrip,
-                    detail: format!("pc {pc}: listing {text:?} failed to reassemble: {e}"),
-                });
-            }
+        let text = disassemble_word(word)
+            .map_err(|e| format!("pc {pc}: {instr} failed to disassemble: {e}"))?;
+        let p = assemble(&text)
+            .map_err(|e| format!("pc {pc}: listing {text:?} failed to reassemble: {e}"))?;
+        if p.text() != [*instr] {
+            return Err(format!(
+                "pc {pc}: {instr} disassembled to {text:?}, reassembled as {:?}",
+                p.text()
+            ));
         }
     }
-    None
+    Ok(())
 }
 
 /// Cross-checks the packed bitplane kernels against the per-trit
 /// reference algorithms on `pairs` random word pairs (plus a fixed set
 /// of adversarial carry-chain/sign-boundary values every time).
-pub fn check_arith(rng: &mut FuzzRng, pairs: usize, stats: &mut OracleStats) -> Option<Divergence> {
-    let fail = |detail: String| {
-        Some(Divergence {
-            oracle: Oracle::Arithmetic,
-            detail,
-        })
-    };
-
-    // Adversarial corners: saturated words (longest carry chains),
-    // zero, ±1, and the ±3^k sign boundaries.
-    let mut specials = vec![Word9::ZERO, Word9::MAX, Word9::MIN];
-    for k in 0..9 {
-        let p = ternary::pow3(k);
-        for v in [p, -p, (p - 1) / 2, -(p - 1) / 2] {
-            specials.push(Word9::from_i64(v).expect("3^k fits"));
-        }
-    }
-
-    let mut words = specials;
+pub(crate) fn check_arith(
+    rng: &mut FuzzRng,
+    pairs: usize,
+    stats: &mut OracleStats,
+) -> Result<(), String> {
+    let mut words = word_corners();
     for _ in 0..pairs {
         words.push(random_word(rng));
     }
@@ -973,7 +798,7 @@ pub fn check_arith(rng: &mut FuzzRng, pairs: usize, stats: &mut OracleStats) -> 
         let (packed_sum, packed_carry) = a.carrying_add(b);
         let (ref_sum, ref_carry) = arith::add_tritwise(a, b);
         if (packed_sum, packed_carry) != (ref_sum, ref_carry) {
-            return fail(format!(
+            return Err(format!(
                 "add: {} + {} = {} carry {packed_carry} (packed) vs {} carry {ref_carry} (tritwise)",
                 a.to_i64(),
                 b.to_i64(),
@@ -985,7 +810,7 @@ pub fn check_arith(rng: &mut FuzzRng, pairs: usize, stats: &mut OracleStats) -> 
         let packed_mul = a.wrapping_mul(b);
         let ref_mul = arith::mul_tritwise(a, b);
         if packed_mul != ref_mul {
-            return fail(format!(
+            return Err(format!(
                 "mul: {} * {} = {} (packed) vs {} (tritwise)",
                 a.to_i64(),
                 b.to_i64(),
@@ -998,7 +823,7 @@ pub fn check_arith(rng: &mut FuzzRng, pairs: usize, stats: &mut OracleStats) -> 
             let packed = a.div_rem(b).expect("nonzero divisor");
             let reference = arith::div_rem_tritwise(a, b).expect("nonzero divisor");
             if packed != reference {
-                return fail(format!(
+                return Err(format!(
                     "div: {} / {} = ({}, {}) (packed) vs ({}, {}) (tritwise)",
                     a.to_i64(),
                     b.to_i64(),
@@ -1013,7 +838,7 @@ pub fn check_arith(rng: &mut FuzzRng, pairs: usize, stats: &mut OracleStats) -> 
         let packed_neg = a.negate();
         let ref_neg = arith::negate_tritwise(a);
         if packed_neg != ref_neg {
-            return fail(format!(
+            return Err(format!(
                 "negate: -({}) = {} (packed) vs {} (tritwise)",
                 a.to_i64(),
                 packed_neg.to_i64(),
@@ -1026,14 +851,14 @@ pub fn check_arith(rng: &mut FuzzRng, pairs: usize, stats: &mut OracleStats) -> 
         match Word9::from_bitplanes(pos, neg) {
             Ok(back) if back == a => {}
             other => {
-                return fail(format!(
+                return Err(format!(
                     "bitplane roundtrip of {} produced {other:?}",
                     a.to_i64()
                 ));
             }
         }
     }
-    None
+    Ok(())
 }
 
 /// Cross-checks the bitplane-SIMD lane subsystem ([`Word9xN`]) against
@@ -1048,13 +873,11 @@ pub fn check_arith(rng: &mut FuzzRng, pairs: usize, stats: &mut OracleStats) -> 
 /// lane-parallel add/sub/negate, the three trit-logic ops, compare,
 /// ternary-weight MAC (both the mask path and the fused splat path)
 /// and the horizontal reduce.
-pub fn check_simd(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Option<Divergence> {
-    let fail = |detail: String| {
-        Some(Divergence {
-            oracle: Oracle::Simd,
-            detail,
-        })
-    };
+pub(crate) fn check_simd(
+    rng: &mut FuzzRng,
+    sets: usize,
+    stats: &mut OracleStats,
+) -> Result<(), String> {
     let fmt = |v: &[Word9]| {
         v.iter()
             .map(|w| w.to_i64().to_string())
@@ -1062,15 +885,7 @@ pub fn check_simd(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Op
             .join(",")
     };
 
-    // The same corner pool as the arithmetic oracle: saturated words,
-    // zero, and the ±3^k sign boundaries.
-    let mut specials = vec![Word9::ZERO, Word9::MAX, Word9::MIN];
-    for k in 0..9 {
-        let p = ternary::pow3(k);
-        for v in [p, -p, (p - 1) / 2, -(p - 1) / 2] {
-            specials.push(Word9::from_i64(v).expect("3^k fits"));
-        }
-    }
+    let specials = word_corners();
     // Lane counts hugging the 6-lanes-per-u64 word boundary.
     const BOUNDARY_LANES: [usize; 6] = [1, 5, 6, 7, 12, 13];
 
@@ -1098,22 +913,16 @@ pub fn check_simd(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Op
         let weights: Vec<Trit> = if rng.chance(1, 5) {
             vec![Trit::Z; lanes]
         } else {
-            (0..lanes)
-                .map(|_| match rng.below(3) {
-                    0 => Trit::N,
-                    1 => Trit::Z,
-                    _ => Trit::P,
-                })
-                .collect()
+            (0..lanes).map(|_| random_trit(rng)).collect()
         };
         let va = Word9xN::from_words(&a);
         let vb = Word9xN::from_words(&b);
 
         let check = |name: &str, packed: &[Word9], reference: &[Word9]| {
             if packed == reference {
-                return None;
+                return Ok(());
             }
-            fail(format!(
+            Err(format!(
                 "{name} over {lanes} lanes: [{}] (packed) vs [{}] (lanewise) \
                  for a=[{}] b=[{}]",
                 fmt(packed),
@@ -1123,44 +932,34 @@ pub fn check_simd(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Op
             ))
         };
 
-        if let Some(d) = check("pack/unpack", &va.to_words(), &a) {
-            return Some(d);
-        }
-        if let Some(d) = check(
+        check("pack/unpack", &va.to_words(), &a)?;
+        check(
             "add",
             &va.wrapping_add(&vb).to_words(),
             &arith::add_lanewise(&a, &b),
-        ) {
-            return Some(d);
-        }
-        if let Some(d) = check(
+        )?;
+        check(
             "sub",
             &va.wrapping_sub(&vb).to_words(),
             &arith::add_lanewise(&a, &arith::negate_lanewise(&b)),
-        ) {
-            return Some(d);
-        }
-        if let Some(d) = check(
+        )?;
+        check(
             "negate",
             &va.negate().to_words(),
             &arith::negate_lanewise(&a),
-        ) {
-            return Some(d);
-        }
+        )?;
         for (name, packed, f) in [
             ("and", va.and(&vb), Trit::and as fn(Trit, Trit) -> Trit),
             ("or", va.or(&vb), Trit::or),
             ("xor", va.xor(&vb), Trit::xor),
         ] {
-            if let Some(d) = check(name, &packed.to_words(), &arith::logic_lanewise(&a, &b, f)) {
-                return Some(d);
-            }
+            check(name, &packed.to_words(), &arith::logic_lanewise(&a, &b, f))?;
         }
 
         let verdicts = va.compare(&vb).lane_lsts();
         let reference = arith::compare_lanewise(&a, &b);
         if verdicts != reference {
-            return fail(format!(
+            return Err(format!(
                 "compare over {lanes} lanes: {verdicts:?} (packed) vs {reference:?} \
                  (lanewise) for a=[{}] b=[{}]",
                 fmt(&a),
@@ -1170,22 +969,18 @@ pub fn check_simd(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Op
 
         let masks = LaneWeights::new(&weights);
         let mac_ref = arith::mac_lanewise(&a, &b, &weights);
-        if let Some(d) = check("mac", &va.mac(&vb, &masks).to_words(), &mac_ref) {
-            return Some(d);
-        }
+        check("mac", &va.mac(&vb, &masks).to_words(), &mac_ref)?;
         // The fused broadcast path: every lane accumulates the same x.
         let x = b[0];
         let mut splat_acc = va.clone();
         splat_acc.mac_splat(x, &masks);
         let splat_ref = arith::mac_lanewise(&a, &vec![x; lanes], &weights);
-        if let Some(d) = check("mac_splat", &splat_acc.to_words(), &splat_ref) {
-            return Some(d);
-        }
+        check("mac_splat", &splat_acc.to_words(), &splat_ref)?;
 
         let reduced = va.reduce_add();
         let reduce_ref = arith::reduce_add_lanewise(&a);
         if reduced != reduce_ref {
-            return fail(format!(
+            return Err(format!(
                 "reduce over {lanes} lanes: {} (packed) vs {} (lanewise) for a=[{}]",
                 reduced.to_i64(),
                 reduce_ref.to_i64(),
@@ -1195,7 +990,7 @@ pub fn check_simd(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Op
 
         let splat = Word9xN::splat(a[0], lanes);
         if splat.to_words() != vec![a[0]; lanes] {
-            return fail(format!(
+            return Err(format!(
                 "splat of {} over {lanes} lanes did not replicate: [{}]",
                 a[0].to_i64(),
                 fmt(&splat.to_words())
@@ -1208,15 +1003,7 @@ pub fn check_simd(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Op
         let cols = 1 + rng.below(6) as usize;
         let cvals: Vec<Word9> = (0..cols).map(|_| random_word(rng)).collect();
         let cweights: Vec<Vec<Trit>> = (0..cols)
-            .map(|_| {
-                (0..lanes)
-                    .map(|_| match rng.below(3) {
-                        0 => Trit::N,
-                        1 => Trit::Z,
-                        _ => Trit::P,
-                    })
-                    .collect()
-            })
+            .map(|_| (0..lanes).map(|_| random_trit(rng)).collect())
             .collect();
         let packed = PackedWeights::from_columns(
             &cweights
@@ -1229,15 +1016,13 @@ pub fn check_simd(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Op
         for (xc, wc) in cvals.iter().zip(&cweights) {
             want = arith::mac_lanewise(&want, &vec![*xc; lanes], wc);
         }
-        if let Some(d) = check("matvec", &got, &want) {
-            return Some(d);
-        }
+        check("matvec", &got, &want)?;
 
         // Thirteen comparisons per set: pack/unpack, add, sub, negate,
         // and/or/xor, compare, mac, mac_splat, reduce, splat, matvec.
         stats.simd_checks += 13;
     }
-    None
+    Ok(())
 }
 
 /// Cross-checks the wide-width arithmetic subsystem on `sets` random
@@ -1251,15 +1036,12 @@ pub fn check_simd(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Op
 /// up to 3^80 and the `i128` extremes, plus operands shifted past the
 /// `i128` range where only the 81-trit word (and its per-trit oracle)
 /// can represent the values at all.
-pub fn check_wide(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Option<Divergence> {
+pub(crate) fn check_wide(
+    rng: &mut FuzzRng,
+    sets: usize,
+    stats: &mut OracleStats,
+) -> Result<(), String> {
     use ternary::{TernaryReal, Trits, WideTrits, Word27, Word81};
-
-    let fail = |detail: String| {
-        Some(Divergence {
-            oracle: Oracle::Wide,
-            detail,
-        })
-    };
 
     // Corner pool: zero/±1, the i128 extremes and the ±3^k sign
     // boundaries (and neighbours) across the whole wide range.
@@ -1285,22 +1067,22 @@ pub fn check_wide(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Op
                 let wa = Trits::<$n>::from_i128_wrapping(a);
                 let wb = Trits::<$n>::from_i128_wrapping(b);
                 if Trits::<$n>::from_i128_wrapping(wa.to_i128()) != wa {
-                    return fail(format!("Trits<{}>: {} does not roundtrip via i128", $n, wa));
+                    return Err(format!("Trits<{}>: {} does not roundtrip via i128", $n, wa));
                 }
                 if wa.carrying_add(wb) != arith::add_tritwise(wa, wb) {
-                    return fail(format!("Trits<{}> add: {} + {} diverged", $n, wa, wb));
+                    return Err(format!("Trits<{}> add: {} + {} diverged", $n, wa, wb));
                 }
                 if wa.wrapping_mul(wb) != arith::mul_tritwise(wa, wb) {
-                    return fail(format!("Trits<{}> mul: {} * {} diverged", $n, wa, wb));
+                    return Err(format!("Trits<{}> mul: {} * {} diverged", $n, wa, wb));
                 }
                 if wa.negate() != arith::negate_tritwise(wa) {
-                    return fail(format!("Trits<{}> negate of {} diverged", $n, wa));
+                    return Err(format!("Trits<{}> negate of {} diverged", $n, wa));
                 }
                 if wa.flips_from(&wb) != arith::flips_tritwise(wa, wb) {
-                    return fail(format!("Trits<{}> flips: {} vs {} diverged", $n, wa, wb));
+                    return Err(format!("Trits<{}> flips: {} vs {} diverged", $n, wa, wb));
                 }
                 if !wb.is_zero() && wa.div_rem(wb).ok() != arith::div_rem_tritwise(wa, wb).ok() {
-                    return fail(format!("Trits<{}> div: {} / {} diverged", $n, wa, wb));
+                    return Err(format!("Trits<{}> div: {} / {} diverged", $n, wa, wb));
                 }
                 stats.wide_checks += 6;
             }};
@@ -1313,42 +1095,37 @@ pub fn check_wide(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Op
         fn check_planes<const N: usize, const W: usize>(
             wa: WideTrits<N, W>,
             wb: WideTrits<N, W>,
-        ) -> Option<String> {
+        ) -> Result<(), String> {
             if wa.carrying_add(wb) != arith::wide_add_tritwise(wa, wb) {
-                return Some(format!("WideTrits<{N},{W}> add: {wa} + {wb} diverged"));
+                return Err(format!("WideTrits<{N},{W}> add: {wa} + {wb} diverged"));
             }
             if wa.wrapping_mul(wb) != arith::wide_mul_tritwise(wa, wb) {
-                return Some(format!("WideTrits<{N},{W}> mul: {wa} * {wb} diverged"));
+                return Err(format!("WideTrits<{N},{W}> mul: {wa} * {wb} diverged"));
             }
             if wa.negate() != arith::wide_negate_tritwise(wa) {
-                return Some(format!("WideTrits<{N},{W}> negate of {wa} diverged"));
+                return Err(format!("WideTrits<{N},{W}> negate of {wa} diverged"));
             }
             if wa.cmp(&wb) != arith::wide_compare_tritwise(wa, wb) {
-                return Some(format!("WideTrits<{N},{W}> compare: {wa} vs {wb} diverged"));
+                return Err(format!("WideTrits<{N},{W}> compare: {wa} vs {wb} diverged"));
             }
             if wa.flips_from(&wb) != arith::wide_flips_tritwise(wa, wb) {
-                return Some(format!("WideTrits<{N},{W}> flips: {wa} vs {wb} diverged"));
+                return Err(format!("WideTrits<{N},{W}> flips: {wa} vs {wb} diverged"));
             }
             let (s, c) = WideTrits::<N, W>::compress3(wa, wb, wa.negate());
             if s.wrapping_add(c) != wa.wrapping_add(wb).wrapping_add(wa.negate()) {
-                return Some(format!(
+                return Err(format!(
                     "WideTrits<{N},{W}> compress3 over {wa}, {wb} diverged"
                 ));
             }
-            None
+            Ok(())
         }
-        if let Some(d) = check_planes(Word27::from_i128_wrapping(a), Word27::from_i128_wrapping(b))
-        {
-            return fail(d);
-        }
+        check_planes(Word27::from_i128_wrapping(a), Word27::from_i128_wrapping(b))?;
         stats.wide_checks += 6;
         let shift = rng.index(40);
-        if let Some(d) = check_planes(
+        check_planes(
             Word81::from_i128_wrapping(a).shl(shift),
             Word81::from_i128_wrapping(b).shl(shift / 2),
-        ) {
-            return fail(d);
-        }
+        )?;
         stats.wide_checks += 6;
 
         // Tapered reals: packed 55-trit-intermediate rounding vs the
@@ -1357,52 +1134,78 @@ pub fn check_wide(rng: &mut FuzzRng, sets: usize, stats: &mut OracleStats) -> Op
         let rb = TernaryReal::from_scaled(b as i64 >> 16, (rng.below(121) as i32) - 60);
         let sum = ra.add(&rb);
         if arith::real_parts(&sum) != arith::real_add_ref(&ra, &rb) {
-            return fail(format!(
+            return Err(format!(
                 "TernaryReal add: {ra} + {rb} diverged from reference"
             ));
         }
         let product = ra.mul(&rb);
         if arith::real_parts(&product) != arith::real_mul_ref(&ra, &rb) {
-            return fail(format!(
+            return Err(format!(
                 "TernaryReal mul: {ra} * {rb} diverged from reference"
             ));
         }
         if TernaryReal::from_tapered(TernaryReal::from_tapered(sum.to_tapered()).to_tapered())
             != TernaryReal::from_tapered(sum.to_tapered())
         {
-            return fail(format!("TernaryReal taper of {sum} is not idempotent"));
+            return Err(format!("TernaryReal taper of {sum} is not idempotent"));
         }
         stats.wide_checks += 3;
     }
-    None
+    Ok(())
+}
+
+/// Adversarial `Word9` corners: saturated words (longest carry
+/// chains), zero, ±1, and the ±3^k sign boundaries.
+fn word_corners() -> Vec<Word9> {
+    let mut corners = vec![Word9::ZERO, Word9::MAX, Word9::MIN];
+    for k in 0..9 {
+        let p = ternary::pow3(k);
+        for v in [p, -p, (p - 1) / 2, -(p - 1) / 2] {
+            corners.push(Word9::from_i64(v).expect("3^k fits"));
+        }
+    }
+    corners
+}
+
+/// A uniformly random trit.
+fn random_trit(rng: &mut FuzzRng) -> Trit {
+    match rng.below(3) {
+        0 => Trit::N,
+        1 => Trit::Z,
+        _ => Trit::P,
+    }
 }
 
 /// A uniformly random trit pattern (covers all 3⁹ words, not just the
 /// value range of any integer conversion path).
-pub fn random_word(rng: &mut FuzzRng) -> Word9 {
-    let mut out = [Trit::Z; 9];
-    for slot in &mut out {
-        *slot = match rng.below(3) {
-            0 => Trit::N,
-            1 => Trit::Z,
-            _ => Trit::P,
-        };
-    }
-    Trits::from_trits(out)
+fn random_word(rng: &mut FuzzRng) -> Word9 {
+    Trits::from_trits(std::array::from_fn(|_| random_trit(rng)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::{generate, GenConfig};
-    use art9_sim::Backend;
+    use crate::{check, Artifact};
+
+    /// Runs the program-level rows (`only`, when named) on `p` and sums
+    /// their work counters.
+    fn run(p: &Program, budget: u64, only: Option<&str>) -> (OracleStats, Option<Divergence>) {
+        let only = only.map(|name| name.parse::<&Oracle>().unwrap());
+        let (runs, d) = check(Artifact::Art9(p.clone()), budget, only).unwrap();
+        let mut stats = OracleStats::default();
+        for r in &runs {
+            stats.absorb(&r.stats);
+        }
+        (stats, d)
+    }
 
     #[test]
     fn clean_programs_have_no_divergence() {
         let cfg = GenConfig::default();
         for i in 0..15 {
             let p = generate(&mut FuzzRng::for_iteration(5, i), &cfg);
-            let (stats, divergence) = check_program(&p, crate::gen::step_budget(&cfg));
+            let (stats, divergence) = run(&p, crate::gen::step_budget(&cfg), None);
             assert!(
                 divergence.is_none(),
                 "iteration {i}: {}",
@@ -1425,7 +1228,7 @@ mod tests {
         for i in 0..6 {
             let p = generate(&mut FuzzRng::for_iteration(5, i), &cfg);
             let budget = crate::gen::step_budget(&cfg);
-            let (stats, d) = check_program_filtered(&p, budget, Some(Oracle::FunctionalVsThreaded));
+            let (stats, d) = run(&p, budget, Some("functional-vs-threaded"));
             assert!(d.is_none(), "iteration {i}: {}", d.unwrap());
             // Stepped + fused runs retire the program twice over.
             assert!(stats.threaded_instructions > 0);
@@ -1433,15 +1236,6 @@ mod tests {
             assert_eq!(stats.pipelined_cycles, 0);
             assert_eq!(stats.roundtrip_checks, 0);
         }
-    }
-
-    #[test]
-    fn threaded_oracle_reports_budget_exhaustion() {
-        let p = art9_isa::assemble("a: NOP\nJAL t0, a\n").unwrap();
-        let (_, d) = check_program_filtered(&p, 100, Some(Oracle::FunctionalVsThreaded));
-        let d = d.expect("budget divergence");
-        assert_eq!(d.oracle, Oracle::FunctionalVsThreaded);
-        assert!(d.is_budget_exhaustion());
     }
 
     #[test]
@@ -1453,7 +1247,7 @@ mod tests {
         for i in 0..6 {
             let p = generate(&mut FuzzRng::for_iteration(7, i), &cfg);
             let budget = crate::gen::step_budget(&cfg);
-            let (stats, d) = check_program_filtered(&p, budget, Some(Oracle::Energy));
+            let (stats, d) = run(&p, budget, Some("energy"));
             assert!(d.is_none(), "iteration {i}: {}", d.unwrap());
             assert!(stats.energy_flips > 0, "iteration {i} counted no flips");
             assert_eq!(stats.pipelined_cycles, 0);
@@ -1473,7 +1267,7 @@ mod tests {
         for i in 0..6 {
             let p = generate(&mut FuzzRng::for_iteration(11, i), &cfg);
             let budget = crate::gen::step_budget(&cfg);
-            let (stats, d) = check_program_filtered(&p, budget, Some(Oracle::SliceMigrate));
+            let (stats, d) = run(&p, budget, Some("slice-migrate"));
             assert!(d.is_none(), "iteration {i}: {}", d.unwrap());
             assert!(
                 stats.slice_migrate_slices > 0,
@@ -1486,24 +1280,6 @@ mod tests {
             assert_eq!(stats.energy_flips, 0);
         }
         assert!(total_migrations > 0, "no cross-backend migration exercised");
-    }
-
-    #[test]
-    fn slice_migrate_oracle_reports_budget_exhaustion() {
-        let p = art9_isa::assemble("a: NOP\nJAL t0, a\n").unwrap();
-        let (_, d) = check_program_filtered(&p, 100, Some(Oracle::SliceMigrate));
-        let d = d.expect("budget divergence");
-        assert_eq!(d.oracle, Oracle::SliceMigrate);
-        assert!(d.is_budget_exhaustion());
-    }
-
-    #[test]
-    fn energy_oracle_reports_budget_exhaustion() {
-        let p = art9_isa::assemble("a: NOP\nJAL t0, a\n").unwrap();
-        let (_, d) = check_program_filtered(&p, 100, Some(Oracle::Energy));
-        let d = d.expect("budget divergence");
-        assert_eq!(d.oracle, Oracle::Energy);
-        assert!(d.is_budget_exhaustion());
     }
 
     #[test]
@@ -1534,8 +1310,7 @@ mod tests {
     fn arith_oracle_is_clean_and_counts() {
         let mut rng = FuzzRng::new(9);
         let mut stats = OracleStats::default();
-        let d = check_arith(&mut rng, 64, &mut stats);
-        assert!(d.is_none(), "{}", d.unwrap());
+        check_arith(&mut rng, 64, &mut stats).unwrap();
         assert!(stats.arith_checks >= 64);
     }
 
@@ -1543,9 +1318,8 @@ mod tests {
     fn simd_oracle_is_clean_and_counts() {
         let mut rng = FuzzRng::new(11);
         let mut stats = OracleStats::default();
-        let d = check_simd(&mut rng, 32, &mut stats);
-        assert!(d.is_none(), "{}", d.unwrap());
-        // Each clean set performs exactly the twelve fixed comparisons.
+        check_simd(&mut rng, 32, &mut stats).unwrap();
+        // Each clean set performs exactly the thirteen fixed comparisons.
         assert_eq!(stats.simd_checks, 32 * 13);
     }
 
@@ -1553,8 +1327,7 @@ mod tests {
     fn wide_oracle_is_clean_and_counts() {
         let mut rng = FuzzRng::new(13);
         let mut stats = OracleStats::default();
-        let d = check_wide(&mut rng, 32, &mut stats);
-        assert!(d.is_none(), "{}", d.unwrap());
+        check_wide(&mut rng, 32, &mut stats).unwrap();
         // Each clean set performs exactly 27 fixed comparisons:
         // 6 per Trits width (40, 63), 6 per plane geometry (27/1,
         // 81/2), 3 for the tapered reals.
@@ -1566,7 +1339,7 @@ mod tests {
         let run = |seed| {
             let mut stats = OracleStats::default();
             let d = check_wide(&mut FuzzRng::new(seed), 8, &mut stats);
-            (stats.wide_checks, d.is_none())
+            (stats.wide_checks, d.is_ok())
         };
         assert_eq!(run(42), run(42));
         assert!(run(42).1 && run(7).1);
@@ -1577,7 +1350,7 @@ mod tests {
         let run = |seed| {
             let mut stats = OracleStats::default();
             let d = check_simd(&mut FuzzRng::new(seed), 8, &mut stats);
-            (stats.simd_checks, d.is_none())
+            (stats.simd_checks, d.is_ok())
         };
         assert_eq!(run(42), run(42));
         assert!(run(42).1 && run(7).1);
@@ -1595,9 +1368,7 @@ mod tests {
         let bad = art9_isa::assemble("LI t3, 6\nJAL t0, 0\n").unwrap();
         let mut func = SimBuilder::new(&good).build_functional();
         let mut reference = SimBuilder::new(&bad).build_reference();
-        let LockstepOutcome::Diverged(d) = lockstep(&mut func, &mut reference, 100) else {
-            panic!("difference not detected");
-        };
+        let d = lockstep(&mut func, &mut reference, 100).expect_err("difference not detected");
         assert!(d.contains("t3"), "{d}");
         assert!(d.contains('5') && d.contains('6'), "{d}");
         assert!(d.contains("functional") && d.contains("reference"), "{d}");
@@ -1617,7 +1388,7 @@ mod tests {
         let mut b = builder.clone().backend(Backend::Reference).build();
         assert_eq!(
             lockstep(&mut *a, &mut *b, 10_000),
-            LockstepOutcome::Agreed(HaltReason::JumpToSelf)
+            Ok(HaltReason::JumpToSelf)
         );
     }
 
@@ -1630,10 +1401,8 @@ mod tests {
         let builder = SimBuilder::new(&p);
         let mut func = builder.build_functional();
         let mut pipe = builder.build_pipelined();
-        assert!(matches!(
-            lockstep(&mut func, &mut pipe, 100),
-            LockstepOutcome::Unsupported(_)
-        ));
+        let why = lockstep(&mut func, &mut pipe, 100).unwrap_err();
+        assert!(why.contains("pipelined backend"), "{why}");
         assert_eq!(pipe.stats().cycles, 0, "no steps executed");
     }
 
@@ -1643,10 +1412,8 @@ mod tests {
         let builder = SimBuilder::new(&p);
         let mut a = builder.build_functional();
         let mut b = builder.build_reference();
-        assert_eq!(
-            lockstep(&mut a, &mut b, 50),
-            LockstepOutcome::BudgetExhausted
-        );
+        let d = lockstep(&mut a, &mut b, 50).unwrap_err();
+        assert!(d.contains(Divergence::BUDGET_MARKER), "{d}");
     }
 
     #[test]
@@ -1682,12 +1449,23 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_reported() {
         // Two-instruction infinite loop: never halts, must be flagged
-        // rather than spinning.
+        // rather than spinning — by every simulating program-level row
+        // on its own, and by the first of them in a full run.
         let p = art9_isa::assemble("a: NOP\nJAL t0, a\n").unwrap();
-        let (_, d) = check_program(&p, 100);
-        let d = d.expect("budget divergence");
-        assert_eq!(d.oracle, Oracle::FunctionalVsReference);
-        assert!(d.detail.contains("budget"));
+        let (_, d) = run(&p, 100, None);
+        assert_eq!(
+            d.expect("budget divergence").oracle.name,
+            "functional-vs-reference"
+        );
+        let simulating = ORACLES
+            .iter()
+            .filter(|o| matches!(o.check, Check::Program(_)) && o.name != "toolchain-roundtrip");
+        for oracle in simulating {
+            let (_, d) = run(&p, 100, Some(oracle.name));
+            let d = d.unwrap_or_else(|| panic!("{oracle}: no budget divergence"));
+            assert_eq!(d.oracle, oracle);
+            assert!(d.is_budget_exhaustion(), "{d}");
+        }
     }
 
     #[test]
@@ -1697,7 +1475,7 @@ mod tests {
         let budget = crate::gen::step_budget(&cfg);
 
         // Roundtrip only: no simulation work at all.
-        let (stats, d) = check_program_filtered(&p, budget, Some(Oracle::ToolchainRoundtrip));
+        let (stats, d) = run(&p, budget, Some("toolchain-roundtrip"));
         assert!(d.is_none());
         assert!(stats.roundtrip_checks > 0);
         assert_eq!(stats.functional_instructions, 0);
@@ -1705,8 +1483,8 @@ mod tests {
 
         // One pipelined oracle: the functional baseline runs, but only
         // one pipelined configuration does.
-        let (all_stats, _) = check_program(&p, budget);
-        let (stats, d) = check_program_filtered(&p, budget, Some(Oracle::PipelinedForwarding));
+        let (all_stats, _) = run(&p, budget, None);
+        let (stats, d) = run(&p, budget, Some("pipelined-fwd"));
         assert!(d.is_none());
         assert_eq!(stats.roundtrip_checks, 0);
         assert!(stats.functional_instructions > 0);
@@ -1717,20 +1495,13 @@ mod tests {
             stats.pipelined_cycles,
             all_stats.pipelined_cycles
         );
-
-        // The filter still catches the filtered oracle's failures.
-        let p = art9_isa::assemble("a: NOP\nJAL t0, a\n").unwrap();
-        let (_, d) = check_program_filtered(&p, 100, Some(Oracle::PipelinedForwarding));
-        let d = d.expect("budget divergence under filter");
-        assert_eq!(d.oracle, Oracle::PipelinedForwarding);
-        assert!(d.is_budget_exhaustion());
     }
 
     #[test]
     fn oracle_names_parse_back() {
-        for o in Oracle::ALL {
-            assert_eq!(o.name().parse::<Oracle>().unwrap(), o);
+        for o in &ORACLES {
+            assert_eq!(o.name.parse::<&Oracle>().unwrap(), o);
         }
-        assert!("no-such-oracle".parse::<Oracle>().is_err());
+        assert!("no-such-oracle".parse::<&Oracle>().is_err());
     }
 }

@@ -54,7 +54,7 @@ pub struct ReplayMeta {
 ///     seed: 42,
 ///     iteration: 17,
 ///     divergence: Divergence {
-///         oracle: Oracle::PipelinedForwarding,
+///         oracle: "pipelined-fwd".parse::<&Oracle>()?,
 ///         detail: "t3 = 7 vs 8".into(),
 ///     },
 /// };
@@ -67,7 +67,7 @@ pub fn render_replay(meta: &ReplayMeta, program: &Program) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{REPLAY_MAGIC}");
     let _ = writeln!(out, "; seed={} iteration={}", meta.seed, meta.iteration);
-    let _ = writeln!(out, "; oracle={}", meta.divergence.oracle.name());
+    let _ = writeln!(out, "; oracle={}", meta.divergence.oracle);
     for line in meta.divergence.detail.lines() {
         let _ = writeln!(out, "; {line}");
     }
@@ -101,20 +101,20 @@ pub fn parse_replay(text: &str) -> Result<Program, IsaError> {
 ///     seed: 42,
 ///     iteration: 3,
 ///     divergence: Divergence {
-///         oracle: Oracle::CompilerLockstep,
+///         oracle: "compiler-lockstep".parse::<&Oracle>()?,
 ///         detail: "a0 (Data) = 7 (art9) vs 8 (rv32)".into(),
 ///     },
 /// };
 /// let text = render_replay_rv32(&meta, "li a0, 8\nebreak\n");
 /// assert!(is_rv32_replay(&text));
 /// rv32::parse_program(&text)?; // headers are ordinary comments
-/// # Ok::<(), rv32::Rv32Error>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn render_replay_rv32(meta: &ReplayMeta, source: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{REPLAY_MAGIC_RV32}");
     let _ = writeln!(out, "# seed={} iteration={}", meta.seed, meta.iteration);
-    let _ = writeln!(out, "# oracle={}", meta.divergence.oracle.name());
+    let _ = writeln!(out, "# oracle={}", meta.divergence.oracle);
     for line in meta.divergence.detail.lines() {
         let _ = writeln!(out, "# {line}");
     }
@@ -184,7 +184,7 @@ pub struct RecordedMeta {
     /// The recorded iteration, when present.
     pub iteration: Option<u64>,
     /// The recorded flagging oracle, when present and recognizable.
-    pub oracle: Option<crate::oracle::Oracle>,
+    pub oracle: Option<&'static crate::oracle::Oracle>,
 }
 
 /// Extracts the recorded seed/iteration/oracle from a replay file's
@@ -216,14 +216,13 @@ pub fn parse_replay_header(text: &str) -> RecordedMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::Oracle;
 
     fn meta() -> ReplayMeta {
         ReplayMeta {
             seed: 7,
             iteration: 3,
             divergence: Divergence {
-                oracle: Oracle::FunctionalVsReference,
+                oracle: "functional-vs-reference".parse().unwrap(),
                 detail: "t4 = 1 vs 2\nsecond line".into(),
             },
         }

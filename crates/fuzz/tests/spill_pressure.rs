@@ -106,7 +106,7 @@ proptest! {
             .tdm_words(cosim.tdm_words())
             .build_functional();
         let d = cosim.run(&mut core, &mut stats);
-        prop_assert!(d.is_none(), "{}\n{}", d.unwrap(), src);
+        prop_assert!(d.is_ok(), "{}\n{}", d.unwrap_err(), src);
         // One sync point per executed instruction plus the reset state:
         // the comparisons really happened mid-program.
         prop_assert!(stats.cosim_sync_points as usize >= 12, "{}", src);
@@ -137,6 +137,6 @@ fn concrete_spill_roundtrip_mid_program() {
     let mut core = SimBuilder::new(&t.program)
         .tdm_words(cosim.tdm_words())
         .build_functional();
-    assert!(cosim.run(&mut core, &mut stats).is_none());
+    cosim.run(&mut core, &mut stats).unwrap();
     assert!(stats.cosim_sync_points >= 22);
 }
