@@ -1461,11 +1461,33 @@ mod tests {
             .iter()
             .filter(|o| matches!(o.check, Check::Program(_)) && o.name != "toolchain-roundtrip");
         for oracle in simulating {
-            let (_, d) = run(&p, 100, Some(oracle.name));
-            let d = d.unwrap_or_else(|| panic!("{oracle}: no budget divergence"));
-            assert_eq!(d.oracle, oracle);
-            assert!(d.is_budget_exhaustion(), "{d}");
+            assert_reports_budget_exhaustion(oracle.name);
         }
+    }
+
+    /// Runs the never-halting loop under the single oracle `name` and
+    /// asserts that oracle flags budget exhaustion itself.
+    fn assert_reports_budget_exhaustion(name: &str) {
+        let p = art9_isa::assemble("a: NOP\nJAL t0, a\n").unwrap();
+        let (_, d) = run(&p, 100, Some(name));
+        let d = d.unwrap_or_else(|| panic!("{name}: no budget divergence"));
+        assert_eq!(d.oracle.name, name);
+        assert!(d.is_budget_exhaustion(), "{d}");
+    }
+
+    #[test]
+    fn threaded_oracle_reports_budget_exhaustion() {
+        assert_reports_budget_exhaustion("functional-vs-threaded");
+    }
+
+    #[test]
+    fn slice_migrate_oracle_reports_budget_exhaustion() {
+        assert_reports_budget_exhaustion("slice-migrate");
+    }
+
+    #[test]
+    fn energy_oracle_reports_budget_exhaustion() {
+        assert_reports_budget_exhaustion("energy");
     }
 
     #[test]
