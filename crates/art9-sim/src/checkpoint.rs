@@ -58,7 +58,7 @@ use crate::pipeline::{ExMem, Fetched, IdEx, MemWb};
 use crate::stats::PipelineStats;
 
 /// First line of the text serialization (version-gated).
-const MAGIC: &str = "art9-checkpoint v1";
+const MAGIC: &str = "art9-checkpoint v2";
 
 /// Backend-specific microarchitectural state.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,7 +120,7 @@ impl Checkpoint {
         crate::core::mix_map(&self.mix)
     }
 
-    /// Serializes to the line-oriented `art9-checkpoint v1` text format.
+    /// Serializes to the line-oriented `art9-checkpoint v2` text format.
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -212,10 +212,12 @@ impl Checkpoint {
                     Some(w) => {
                         let _ = writeln!(
                             out,
-                            "mem-wb {} {} {}",
+                            "mem-wb {} {} {} {} {}",
                             w.pc,
                             instr_word(&w.instr),
-                            w.value.to_i64()
+                            w.value.to_i64(),
+                            w.bus.to_i64(),
+                            w.old_cell.to_i64()
                         );
                     }
                 }
@@ -225,7 +227,7 @@ impl Checkpoint {
         out
     }
 
-    /// Parses the `art9-checkpoint v1` text format.
+    /// Parses the `art9-checkpoint v2` text format.
     ///
     /// # Errors
     ///
@@ -237,7 +239,7 @@ impl Checkpoint {
             detail: detail.to_string(),
         };
         if lines.next().map(str::trim) != Some(MAGIC) {
-            return Err(bad("missing `art9-checkpoint v1` header"));
+            return Err(bad("missing `art9-checkpoint v2` header"));
         }
         let mut fields = Fields { lines };
         let backend: Backend = fields
@@ -321,11 +323,13 @@ impl Checkpoint {
                         store_val: parse_word(&v[3])?,
                     })
                 });
-                let mem_wb = fields.latch("mem-wb", 3)?.map(|v| {
+                let mem_wb = fields.latch("mem-wb", 5)?.map(|v| {
                     Ok::<_, SimError>(MemWb {
                         pc: parse_num(&v[0])?,
                         instr: parse_instr(&v[1])?,
                         value: parse_word(&v[2])?,
+                        bus: parse_word(&v[3])?,
+                        old_cell: parse_word(&v[4])?,
                     })
                 });
                 Micro::Pipelined(Box::new(PipelineMicro {
@@ -565,8 +569,9 @@ mod tests {
         for text in [
             "",
             "not a checkpoint",
-            "art9-checkpoint v1\nbackend warp-drive\n",
-            "art9-checkpoint v1\nbackend functional\ntext-len x\n",
+            "art9-checkpoint v1\nbackend functional\n",
+            "art9-checkpoint v2\nbackend warp-drive\n",
+            "art9-checkpoint v2\nbackend functional\ntext-len x\n",
         ] {
             assert!(
                 matches!(

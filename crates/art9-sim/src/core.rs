@@ -7,7 +7,7 @@
 //! [`FunctionalSim`], the cycle-accurate [`PipelinedSim`], the
 //! per-trit [`ReferenceSim`](crate::ReferenceSim) and the
 //! direct-threaded [`ThreadedSim`](crate::ThreadedSim) — implements
-//! [`Core`], and every consumer (the batch driver, the debugger, the
+//! [`Core`], and every consumer (the batch driver, the service, the
 //! differential fuzzing oracles, the benches) drives them through it.
 //!
 //! ```

@@ -6,9 +6,11 @@
 //! place, and [`execute`] is the one definition of a whole
 //! instruction — its register and memory effects, its next PC, and the
 //! observer events it fires — for the functional backend and the
-//! threaded backend's precise and observed path. The pipeline ≡
-//! functional equivalence property test (crate tests) then checks the
-//! *timing* model, not re-derived semantics.
+//! threaded backend's precise and observed path. [`retire`], which
+//! fires its write-back and retirement events, serves the pipelined
+//! backend's WB stage too. The pipeline ≡ functional equivalence
+//! property test (crate tests) then checks the *timing* model, not
+//! re-derived semantics.
 
 use art9_isa::Instruction;
 use ternary::{TernaryError, Trit, Trits, Word9};
@@ -252,20 +254,39 @@ pub(crate) fn execute<E: Events>(
         if instr.is_control_flow() {
             ev.control(pc, instr, taken, next);
         }
-        ev.writeback(&Writeback {
-            pc,
-            instr: *instr,
-            reg: dest.map(|d| RegWrite {
-                reg: d,
-                old: old_reg.expect("captured above"),
-                new: state.reg(d),
-            }),
-            mem,
-            bus: result,
-        });
-        ev.retire(pc, instr, state);
+        retire(ev, pc, instr, old_reg, mem, result, state);
     }
     Ok(next)
+}
+
+/// Reports the retirement of `instr` at `pc`, whose architectural
+/// writes `state` already holds: fires `writeback` — its register write
+/// pairs `old_reg`, the destination's value before the write, with the
+/// value read back from the register file — then `retire`. The one
+/// definition of these two events for [`execute`] and the pipelined
+/// backend's WB stage.
+#[inline(always)]
+pub(crate) fn retire<E: Events>(
+    ev: &mut E,
+    pc: usize,
+    instr: &Instruction,
+    old_reg: Option<Word9>,
+    mem: Option<MemWrite>,
+    bus: Word9,
+    state: &CoreState,
+) {
+    ev.writeback(&Writeback {
+        pc,
+        instr: *instr,
+        reg: instr.writes().zip(old_reg).map(|(reg, old)| RegWrite {
+            reg,
+            old,
+            new: state.reg(reg),
+        }),
+        mem,
+        bus,
+    });
+    ev.retire(pc, instr, state);
 }
 
 #[cfg(test)]

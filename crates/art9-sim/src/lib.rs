@@ -23,8 +23,10 @@
 //!
 //! Around the trait:
 //!
-//! * [`Observer`] hooks — retire/control/memory/halt callbacks on any
-//!   backend, with ready-made observers in [`observers`].
+//! * [`Observer`] hooks — retire/control/memory/write-back/halt
+//!   callbacks on any backend, with ready-made observers in
+//!   [`observers`]. The pipelined backend's WB stage reports through
+//!   the same helper as [`FunctionalSim`], from its MEM/WB latch.
 //! * [`Checkpoint`] — serializable snapshot/resume
 //!   ([`Core::snapshot`]/[`Core::restore`]) that continues
 //!   bit-identically, microarchitectural state included.
@@ -73,7 +75,6 @@
 
 mod checkpoint;
 mod core;
-mod debug;
 mod error;
 mod exec;
 mod functional;
@@ -87,7 +88,6 @@ mod trace;
 
 pub use crate::core::{Backend, Budget, Core, RunSummary, SimBuilder};
 pub use checkpoint::Checkpoint;
-pub use debug::{Debugger, StopReason};
 pub use error::SimError;
 pub use exec::{branch_taken, control_target, shift, talu};
 pub use functional::{CoreState, FunctionalSim, HaltReason, RunResult, DEFAULT_TDM_WORDS};

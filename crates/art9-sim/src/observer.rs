@@ -329,37 +329,11 @@ impl Events for Locked<'_> {
     }
 }
 
-/// Ready-made observers: the instruction-mix and trace machinery
-/// reformulated on the hook API, plus a store watchpoint.
+/// Ready-made observers: a retirement log, a store watchpoint, the
+/// sync-point detector of cross-ISA lockstep checking and the
+/// switching-activity counter behind the energy model.
 pub mod observers {
     use super::*;
-
-    /// Per-mnemonic retirement counts, as an observer — the same view
-    /// [`Core::instruction_mix`](crate::Core::instruction_mix) keeps
-    /// built in, demonstrated over the hook API.
-    #[derive(Debug, Clone, Default)]
-    pub struct InstructionMix {
-        counts: [u64; Instruction::OPCODE_COUNT],
-    }
-
-    impl InstructionMix {
-        /// A fresh, all-zero mix.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Retired count per mnemonic (absent when zero), matching the
-        /// shape of [`Core::instruction_mix`](crate::Core::instruction_mix).
-        pub fn mix(&self) -> std::collections::BTreeMap<&'static str, u64> {
-            crate::core::mix_map(&self.counts)
-        }
-    }
-
-    impl Observer for InstructionMix {
-        fn on_retire(&mut self, _pc: usize, instr: &Instruction, _state: &CoreState) {
-            self.counts[instr.opcode()] += 1;
-        }
-    }
 
     /// A retirement log: `(pc, instruction)` in retirement order — the
     /// cross-backend counterpart of the pipelined per-cycle trace.
@@ -751,14 +725,18 @@ mod tests {
     #[test]
     fn mix_observer_matches_builtin_mix_on_every_backend() {
         for backend in Backend::ALL {
-            let handle = Arc::new(Mutex::new(InstructionMix::new()));
+            let handle = Arc::new(Mutex::new(RetireLog::new()));
             let mut core = SimBuilder::new(&looped())
                 .backend(backend)
                 .observer(handle.clone())
                 .build();
             core.run_for(Budget::Steps(100_000)).unwrap();
+            let mut counts = [0u64; Instruction::OPCODE_COUNT];
+            for (_, instr) in &handle.lock().unwrap().log {
+                counts[instr.opcode()] += 1;
+            }
             assert_eq!(
-                handle.lock().unwrap().mix(),
+                crate::core::mix_map(&counts),
                 core.instruction_mix(),
                 "{backend:?}"
             );

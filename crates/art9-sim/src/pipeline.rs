@@ -32,11 +32,9 @@ use ternary::Word9;
 use crate::checkpoint::{Checkpoint, Micro, PipelineMicro};
 use crate::core::{run_loop, Backend, Budget, Core, RunSummary};
 use crate::error::SimError;
-use crate::exec::{control_target, talu};
+use crate::exec::{control_target, retire, talu};
 use crate::functional::{CoreState, HaltReason};
-use crate::observer::{
-    with_events, Events, MemWrite, MemoryAccess, ObserverSet, RegWrite, Writeback,
-};
+use crate::observer::{with_events, Events, MemWrite, MemoryAccess, ObserverSet};
 use crate::predecode::PredecodedProgram;
 use crate::stats::PipelineStats;
 use crate::trace::{CycleTrace, StageSnapshot};
@@ -68,25 +66,20 @@ pub(crate) struct ExMem {
     pub(crate) store_val: Word9,
 }
 
-/// MEM/WB pipeline register payload.
+/// MEM/WB pipeline register payload: everything WB writes and reports,
+/// so a checkpoint taken between MEM and WB loses nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct MemWb {
     pub(crate) instr: Instruction,
     pub(crate) pc: usize,
+    /// The destination register's new value (the loaded datum for a
+    /// LOAD); for a STORE, the word it stored.
     pub(crate) value: Word9,
-}
-
-/// Observer-only side channel travelling in lockstep with [`MemWb`]:
-/// the EX result-bus value (for LOADs `MemWb.value` holds the loaded
-/// datum, not the bus) and the old/new TDM cell a STORE rewrote.
-///
-/// Deliberately *not* part of `MemWb`, whose layout the
-/// `art9-checkpoint v1` text format serializes; like the trace buffer,
-/// this is transient per-core state that a restore simply clears.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct WbCarry {
-    bus: Word9,
-    mem: Option<MemWrite>,
+    /// The EX result bus (the effective address for LOAD/STORE).
+    pub(crate) bus: Word9,
+    /// For a STORE, the TDM cell's value before the write; zero
+    /// otherwise.
+    pub(crate) old_cell: Word9,
 }
 
 /// The cycle-accurate pipelined ART-9 core.
@@ -124,7 +117,6 @@ pub struct PipelinedSim {
     id_ex: Option<IdEx>,
     ex_mem: Option<ExMem>,
     mem_wb: Option<MemWb>,
-    wb_carry: Option<WbCarry>,
     stats: PipelineStats,
     halting: Option<HaltReason>,
     halted: Option<HaltReason>,
@@ -153,7 +145,6 @@ impl PipelinedSim {
             id_ex: None,
             ex_mem: None,
             mem_wb: None,
-            wb_carry: None,
             stats: PipelineStats::default(),
             halting: None,
             halted: None,
@@ -224,39 +215,29 @@ impl PipelinedSim {
         // ---- WB ------------------------------------------------------
         // Synchronous TRF write; write-through makes the value visible
         // to ID in this same cycle.
-        let observing = E::ACTIVE;
-        let carry = self.wb_carry.take();
         let wb_done: Option<(TReg, Word9)> = if let Some(wb) = old_mem_wb {
             self.stats.instructions += 1;
             self.mix[wb.instr.opcode()] += 1;
             let dest = wb.instr.writes();
-            let old_reg = if observing {
-                dest.map(|d| self.state.reg(d))
-            } else {
-                None
-            };
+            let old_reg = dest.map(|d| self.state.reg(d));
             if let Some(d) = dest {
                 self.state.set_reg(d, wb.value);
             }
-            if observing {
-                // A restore mid-flight clears the carry; fall back to the
-                // WB value as the bus for that one instruction.
-                let carry = carry.unwrap_or(WbCarry {
-                    bus: wb.value,
-                    mem: None,
-                });
-                ev.writeback(&Writeback {
-                    pc: wb.pc,
-                    instr: wb.instr,
-                    reg: dest.map(|d| RegWrite {
-                        reg: d,
-                        old: old_reg.expect("captured above"),
-                        new: self.state.reg(d),
-                    }),
-                    mem: carry.mem,
-                    bus: carry.bus,
-                });
-                ev.retire(wb.pc, &wb.instr, &self.state);
+            if E::ACTIVE {
+                // MEM resolved this address before the store; a
+                // hand-edited checkpoint whose bus does not resolve
+                // reports no TDM write.
+                let mem = match wb.instr {
+                    Instruction::Store { .. } => {
+                        self.state.tdm.resolve(wb.bus).ok().map(|address| MemWrite {
+                            address,
+                            old: wb.old_cell,
+                            new: wb.value,
+                        })
+                    }
+                    _ => None,
+                };
+                retire(ev, wb.pc, &wb.instr, old_reg, mem, wb.bus, &self.state);
             }
             dest.map(|d| (d, wb.value))
         } else {
@@ -266,66 +247,40 @@ impl PipelinedSim {
 
         // ---- MEM -----------------------------------------------------
         if let Some(mem) = old_ex_mem {
-            let mut mem_write = None;
-            let value = match mem.instr {
-                Instruction::Load { .. } => {
-                    let v = self
-                        .state
-                        .tdm
-                        .read_word_addr(mem.result)
-                        .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?;
-                    if observing {
-                        let address = self.state.tdm.resolve(mem.result).expect("read succeeded");
-                        ev.memory(&MemoryAccess {
-                            pc: mem.pc,
-                            address,
-                            value: v,
-                            is_write: false,
-                        });
-                    }
-                    v
-                }
-                Instruction::Store { .. } => {
-                    // Old cell value, read before the write so the write
-                    // itself still produces the canonical fault.
-                    let old_cell = if observing {
-                        self.state.tdm.read_word_addr(mem.result).ok()
-                    } else {
-                        None
-                    };
-                    self.state
-                        .tdm
-                        .write_word_addr(mem.result, mem.store_val)
-                        .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?;
-                    if observing {
-                        let address = self.state.tdm.resolve(mem.result).expect("write succeeded");
-                        ev.memory(&MemoryAccess {
-                            pc: mem.pc,
-                            address,
-                            value: mem.store_val,
-                            is_write: true,
-                        });
-                        mem_write = Some(MemWrite {
-                            address,
-                            old: old_cell.expect("write succeeded"),
-                            new: mem.store_val,
-                        });
-                    }
-                    Word9::ZERO
-                }
-                _ => mem.result,
-            };
-            self.mem_wb = Some(MemWb {
+            let mut latch = MemWb {
                 instr: mem.instr,
                 pc: mem.pc,
-                value,
-            });
-            if observing {
-                self.wb_carry = Some(WbCarry {
-                    bus: mem.result,
-                    mem: mem_write,
+                value: mem.result,
+                bus: mem.result,
+                old_cell: Word9::ZERO,
+            };
+            if let Instruction::Load { .. } | Instruction::Store { .. } = mem.instr {
+                let address = self
+                    .state
+                    .tdm
+                    .resolve(mem.result)
+                    .map_err(|cause| SimError::MemoryFault { pc: mem.pc, cause })?;
+                let cell = self.state.tdm.read(address).expect("resolved in range");
+                let is_write = matches!(mem.instr, Instruction::Store { .. });
+                latch.value = if is_write {
+                    // The old cell is read before the write.
+                    self.state
+                        .tdm
+                        .write(address, mem.store_val)
+                        .expect("resolved in range");
+                    latch.old_cell = cell;
+                    mem.store_val
+                } else {
+                    cell
+                };
+                ev.memory(&MemoryAccess {
+                    pc: mem.pc,
+                    address,
+                    value: latch.value,
+                    is_write,
                 });
             }
+            self.mem_wb = Some(latch);
         }
         self.ex_mem = None;
 
@@ -683,7 +638,6 @@ impl Core for PipelinedSim {
         self.id_ex = m.id_ex;
         self.ex_mem = m.ex_mem;
         self.mem_wb = m.mem_wb;
-        self.wb_carry = None;
         Ok(())
     }
 

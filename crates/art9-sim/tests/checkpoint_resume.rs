@@ -4,11 +4,15 @@
 //! continuing must yield a bit-identical final [`CoreState`] — and, for
 //! the pipelined backend, identical [`PipelineStats`] — versus a run
 //! that was never interrupted. This is the property preemptible/sharded
-//! batch serving rests on.
+//! batch serving rests on. It covers energy accounting too: a migrated
+//! pipelined run counts the same trit flips as a straight one.
+
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
 use art9_isa::{Instruction, Program, TReg};
+use art9_sim::observers::EnergyAccounting;
 use art9_sim::{Backend, Budget, Checkpoint, SimBuilder};
 use ternary::Trits;
 
@@ -199,5 +203,73 @@ proptest! {
         }
         prop_assert_eq!(whole.state().first_difference(sliced.state()), None);
         prop_assert_eq!(whole.pipeline_stats(), sliced.pipeline_stats());
+    }
+}
+
+/// The service's migration pattern on the pipelined backend with energy
+/// accounting: run a slice of retired instructions, snapshot, send the
+/// checkpoint through its text form into a fresh core sharing the same
+/// observer, repeat. Every slice boundary leaves an instruction between
+/// MEM and WB, so the flips of that write-back must come from the
+/// checkpoint alone.
+#[test]
+fn pipelined_energy_is_identical_when_migrated_at_every_slice() {
+    for workload in [
+        workloads::gemm(4),
+        workloads::sobel(),
+        workloads::dhrystone(5),
+    ] {
+        let rv = workload.rv32_program().expect("workload parses");
+        let program = art9_compiler::translate(&rv)
+            .expect("workload translates")
+            .program;
+        let run = |slice: Option<u64>| {
+            let energy = Arc::new(Mutex::new(EnergyAccounting::new()));
+            let builder = SimBuilder::new(&program)
+                .backend(Backend::Pipelined)
+                .observer(energy.clone());
+            let mut core = builder.build();
+            let mut migrations = 0;
+            loop {
+                let budget = match slice {
+                    Some(n) => Budget::Retired(core.retired() + n),
+                    None => Budget::Steps(u64::MAX),
+                };
+                if core.run_for(budget).expect("runs").halt.is_some() {
+                    break;
+                }
+                let text = core.snapshot().to_text();
+                core = builder.build();
+                core.restore(&Checkpoint::from_text(&text).expect("parses"))
+                    .expect("restores");
+                migrations += 1;
+            }
+            workload.verify_art9(core.state()).expect("verifies");
+            let counters = energy.lock().unwrap().counters().clone();
+            (counters, core.pipeline_stats(), migrations)
+        };
+        let (straight, straight_stats, _) = run(None);
+        let (migrated, migrated_stats, migrations) = run(Some(97));
+        assert!(
+            migrations > 10,
+            "{}: {migrations} migrations",
+            workload.name
+        );
+        assert_eq!(migrated_stats, straight_stats, "{}", workload.name);
+        for (i, (m, s)) in migrated
+            .per_opcode()
+            .iter()
+            .zip(straight.per_opcode())
+            .enumerate()
+        {
+            assert_eq!(
+                m,
+                s,
+                "{}: {} counters",
+                workload.name,
+                Instruction::MNEMONICS[i]
+            );
+        }
+        assert_eq!(migrated, straight, "{}", workload.name);
     }
 }

@@ -613,7 +613,7 @@ fn energy(case: &mut ProgramCase, stats: &mut OracleStats) -> Result<(), String>
 /// accounting) is compared against the same program executed the way
 /// the scheduler executes sessions — sliced on random
 /// [`Budget::Retired`] quanta, and at ~40% of slice boundaries
-/// *migrated* through an `art9-checkpoint v1` text roundtrip into the
+/// *migrated* through an `art9-checkpoint v2` text roundtrip into the
 /// next architectural backend (threaded → reference → functional), the
 /// energy observer `Arc` carried across every rebuild exactly as the
 /// scheduler carries a session's observers across workers. Slicing and

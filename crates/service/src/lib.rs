@@ -2,7 +2,7 @@
 //!
 //! A multi-tenant session scheduler for ART-9 simulations: clients
 //! submit jobs over a line-oriented TCP protocol (`art9-service v1`,
-//! in the same text style as the `art9-checkpoint v1` format), and a
+//! in the same text style as the `art9-checkpoint v2` format), and a
 //! worker thread pool runs thousands of concurrent sessions *fairly*
 //! by slicing each one on [`art9_sim::Budget::Retired`] quanta.
 //!

@@ -1,7 +1,7 @@
 //! Wire protocol: `art9-service v1`.
 //!
 //! Line-oriented text over TCP, in the same spirit (and style) as the
-//! `art9-checkpoint v1` serialization: one request per line, commands
+//! `art9-checkpoint v2` serialization: one request per line, commands
 //! in upper case, arguments as `key=value` tokens, multi-line
 //! responses terminated by a bare `end` line. Replies start `OK` or
 //! `ERR`. The full grammar lives in `docs/SERVICE.md`.

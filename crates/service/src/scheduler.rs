@@ -557,6 +557,65 @@ mod tests {
     }
 
     #[test]
+    fn pipelined_energy_jobs_report_straight_run_flips_across_migrations() {
+        let cache = ImageCache::new();
+        let args: HashMap<String, String> = [
+            ("workload", "gemm"),
+            ("n", "4"),
+            ("config", "art9-pipelined"),
+            ("energy", "1"),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+        let spec = JobSpec::from_args(&args, None).unwrap();
+
+        let job = spec.prepare(&cache).unwrap();
+        let energy = Arc::new(Mutex::new(EnergyAccounting::new()));
+        let mut straight = SimBuilder::new(&job.image)
+            .backend(job.spec.config.backend)
+            .forwarding(job.spec.config.forwarding)
+            .observer(energy.clone())
+            .build();
+        straight.run_for(Budget::Steps(u64::MAX)).unwrap();
+        let t = energy.lock().unwrap().totals();
+        let expected = Some(t.regfile + t.tdm + t.fetch + t.alu);
+        let check = |h: &SessionHandle| {
+            assert_eq!(h.wait(), SessionStatus::Done);
+            let result = h.result().unwrap();
+            assert!(result.verified);
+            assert_eq!(result.retired, straight.retired());
+            assert_eq!(result.flips, expected, "{:?}", h.view());
+        };
+
+        // The pool: two workers, a small quantum, sessions that may or
+        // may not be stolen.
+        let scheduler = Scheduler::new(SchedulerConfig {
+            workers: 2,
+            quantum: 20,
+        });
+        for _ in 0..4 {
+            check(&scheduler.submit(spec.prepare(&cache).unwrap()));
+        }
+
+        // The same two workers played by hand, alternating, so every
+        // slice after the first migrates by checkpoint.
+        scheduler.shutdown();
+        let handle = scheduler.submit(job);
+        let shared = &scheduler.shared;
+        let mut next = shared.injector.lock().unwrap().pop_front();
+        for me in [0, 1].into_iter().cycle() {
+            let Some(runnable) = next else { break };
+            run_slice(shared, me, runnable);
+            next = shared.queues[me].lock().unwrap().pop_front();
+        }
+        check(&handle);
+        // `slices` counts the re-queued slices: all but the last.
+        let view = handle.view();
+        assert_eq!(view.migrations, view.slices, "{view:?}");
+    }
+
+    #[test]
     fn cancellation_stops_a_session_at_a_slice_boundary() {
         let scheduler = Scheduler::new(SchedulerConfig {
             workers: 1,

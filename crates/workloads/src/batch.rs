@@ -474,8 +474,10 @@ impl BatchRunner {
 
     /// Attaches an [`EnergyAccounting`] observer to every ART-9 run,
     /// so each record carries the measured trit-flip activity of its
-    /// execution (`RunRecord::energy`). Off by default — the observer
-    /// costs one mutex round-trip per retired instruction.
+    /// execution (`RunRecord::energy`). Off by default: it slows every
+    /// run. The observer is locked once per run, and it receives one
+    /// write-back event per retired instruction, except on the threaded
+    /// backend, which counts the flips inline on its superblocks.
     pub fn measure_energy(mut self, on: bool) -> Self {
         self.measure_energy = on;
         self

@@ -8,11 +8,11 @@
 //! into `art9_hw::activity` to produce energy-per-workload, per-class
 //! EPI and the measured DMIPS/W (see `docs/ENERGY.md`).
 //!
-//! The pipelined backend is deliberate: it exercises the write-back
-//! side channel of the 5-stage model, and the flip counts are
-//! architectural — any backend reports the same ones (property-tested
-//! in `art9-sim` and fuzzed by the `energy` oracle), so the cycle
-//! count is the only backend-specific ingredient.
+//! The pipelined backend is deliberate: it exercises the WB stage of
+//! the 5-stage model, which reports from its MEM/WB latch, and the
+//! flip counts are architectural — any backend reports the same ones
+//! (property-tested in `art9-sim` and fuzzed by the `energy` oracle),
+//! so the cycle count is the only backend-specific ingredient.
 
 use std::error::Error;
 use std::sync::{Arc, Mutex};

@@ -76,8 +76,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     first.run_for(Budget::Steps(7))?;
     let text = first.snapshot().to_text();
     println!(
-        "\ncheckpoint after 7 cycles: {} bytes of `art9-checkpoint v1`",
-        text.len()
+        "\ncheckpoint after 7 cycles: {} bytes of `{}`",
+        text.len(),
+        text.lines().next().unwrap_or_default()
     );
 
     let mut resumed = pipelined.build();
