@@ -19,9 +19,11 @@
 //!   targets and successors. Inside a block there is no per-instruction
 //!   budget check, halt check or PC update — those happen only at block
 //!   boundaries, which is exactly where control can transfer.
-//! * **Fused op sequences** for common adjacent pairs (logic + compare,
-//!   add + store, the `ADDI`/`MV`/`COMP` loop idiom): one host call
-//!   retires two architectural instructions.
+//! * **Fused op sequences** for the adjacent pairs of the `op_kinds!`
+//!   table (the `COMP`+branch loop idiom, `ADDI`/`MV` chains, address
+//!   arithmetic next to a LOAD/STORE, memory pairs): one host call
+//!   retires two architectural instructions by running the two
+//!   single-op bodies in program order.
 //! * **Inline-cached TDM bases**: each static LOAD/STORE site caches
 //!   the last base-register word next to its resolved integer value, so
 //!   the common in-loop case skips the balanced-ternary address
@@ -98,21 +100,23 @@ enum Step {
 
 /// A fault raised by a compiled op, converted to [`SimError`] by the
 /// engine once the retirement counters are settled.
-enum Fault {
-    /// TDM access violation at instruction address `pc`. `retired` is
-    /// how many architectural instructions of the faulting (possibly
-    /// fused) op retired, including the faulting one — 1 when the
-    /// first component faulted, 2 when the second did — so partial
-    /// fused pairs settle exactly.
-    Mem {
-        pc: usize,
-        cause: TernaryError,
-        retired: u8,
-    },
-    /// Control transfer left the instruction memory; `at_pc` is the
-    /// address of the transferring instruction (which may be the second
-    /// component of a fused pair).
-    Wild { target: i64, at_pc: u32 },
+struct Fault {
+    /// Address of the faulting instruction, which may be the second
+    /// component of a fused pair.
+    pc: u32,
+    /// Architectural instructions of the faulting (possibly fused) op
+    /// that retired, the faulting one included: its component's
+    /// [`Operands::n`]. Partial fused pairs settle from it exactly.
+    retired: u8,
+    cause: Cause,
+}
+
+enum Cause {
+    /// TDM access violation.
+    Mem(TernaryError),
+    /// Control transfer to this address, outside the instruction
+    /// memory.
+    Wild(i64),
 }
 
 /// The host code behind one compiled op, reporting to sink `S`.
@@ -144,6 +148,16 @@ impl<S: Sink> Machine<'_, S> {
         self.sink.reg(opcode, old, v);
         self.sink.bus(opcode, v);
     }
+
+    /// Parks `cause` as the fault of component `o`.
+    #[cold]
+    fn park(&mut self, o: Operands, cause: Cause) {
+        self.fault = Some(Fault {
+            pc: o.pc,
+            retired: o.n,
+            cause,
+        });
+    }
 }
 
 /// One inline-cache entry for a static LOAD/STORE site: the last base
@@ -167,55 +181,100 @@ impl Default for InlineCache {
     }
 }
 
-/// One compiled (possibly fused) instruction with pre-extracted
-/// operands. Unused fields are zero; which fields are live is
-/// determined by `kind`.
+/// One compiled instruction, or a fused pair of two, with
+/// pre-extracted operands: the first component's in the unsuffixed
+/// fields, a fused second component's in the `2` fields. Unused fields
+/// are zero; which fields are live is determined by `kind`.
 #[derive(Debug, Clone, Copy)]
 struct Op {
     /// The body of `kind` for [`NoFlips`], cached so the unobserved hot
     /// loop calls it without a lookup.
     exec: ExecFn<NoFlips>,
-    /// First component's `Ta` register index.
+    /// `Ta` register index.
     a: u8,
-    /// First component's `Tb` register index.
+    /// `Tb` register index.
     b: u8,
-    /// Second (fused) component's `Ta`, or a constant shift amount.
-    c: u8,
-    /// Second (fused) component's `Tb`.
-    d: u8,
-    /// Branch condition trit.
+    a2: u8,
+    b2: u8,
+    /// Branch condition trit. Only a lone op or a second component
+    /// branches: a branch ends its block, so it never comes first.
     cond: Trit,
-    /// Pre-resized immediate / link word / LUI constant.
+    /// Pre-resized immediate / LOAD/STORE offset / link word / LUI
+    /// constant.
     imm: Word9,
-    /// Second (fused) component's pre-resized immediate.
     imm2: Word9,
-    /// Static branch/JAL target, or a LOAD/STORE offset as an integer.
-    /// In a fused pair this belongs to the first component if that one
-    /// is a memory op, otherwise to the second.
-    target: i64,
-    /// Inline-cache site for the TDM access (`u32::MAX`: none); same
-    /// first-if-memory convention as `target` in a fused pair.
+    /// Static branch/JAL target, LOAD/STORE/JALR offset as an integer,
+    /// or a constant shift count.
+    target: i32,
+    target2: i32,
+    /// Inline-cache site of a LOAD/STORE/JALR (`u32::MAX`: none).
     site: u32,
-    /// The second component's LOAD/STORE offset, when both components
-    /// are memory ops.
-    off2: i32,
-    /// The second component's inline-cache site, when both components
-    /// are memory ops.
     site2: u32,
-    /// Address of the (first) instruction.
+    /// Address of the first instruction.
     pc: u32,
     /// Which body runs the op (and so how many instructions it
     /// retires, [`Kind::n`]).
     kind: Kind,
-    /// Dense opcode of the first component.
+    /// Dense opcode.
     opcode: u8,
-    /// Dense opcode of the second component (fused kinds only).
     opcode2: u8,
 }
 
 // Every image the service caches keeps one op per instruction plus the
 // fused sequences alive: the record stays at its nine words.
 const _: () = assert!(std::mem::size_of::<Op>() <= 72);
+
+/// What one component of an [`Op`] reads: the operands a single-op
+/// body runs on.
+#[derive(Clone, Copy)]
+struct Operands {
+    a: u8,
+    b: u8,
+    cond: Trit,
+    opcode: u8,
+    /// Architectural instructions of the op that have retired once this
+    /// component retires: 1 for the first, 2 for a fused second.
+    n: u8,
+    imm: Word9,
+    target: i32,
+    site: u32,
+    /// The component's own address.
+    pc: u32,
+}
+
+impl Op {
+    /// The first (or only) component.
+    #[inline(always)]
+    fn first(&self) -> Operands {
+        Operands {
+            a: self.a,
+            b: self.b,
+            cond: self.cond,
+            opcode: self.opcode,
+            n: 1,
+            imm: self.imm,
+            target: self.target,
+            site: self.site,
+            pc: self.pc,
+        }
+    }
+
+    /// The second component of a fused pair, at the next address.
+    #[inline(always)]
+    fn second(&self) -> Operands {
+        Operands {
+            a: self.a2,
+            b: self.b2,
+            cond: self.cond,
+            opcode: self.opcode2,
+            n: 2,
+            imm: self.imm2,
+            target: self.target2,
+            site: self.site2,
+            pc: self.pc + 1,
+        }
+    }
+}
 
 /// Where execution continues after a superblock completes without a
 /// control transfer of its own.
@@ -439,34 +498,57 @@ pub(crate) struct ThreadedCode {
     sites: usize,
 }
 
-/// Declares the op bodies: the [`Kind`] an [`Op`] stores to name its
-/// body, and each body's instantiation for any [`Sink`].
+/// Declares the op bodies and the fusion table: the [`Kind`] an [`Op`]
+/// stores to name its body, and each body's instantiation for any
+/// [`Sink`]. A single kind runs its body on the op's only component. A
+/// pair kind `p = f + g` runs body `f` on the first component and then,
+/// unless that faulted, body `g` on the second: program order, so
+/// intra-pair register dependencies behave exactly as in sequential
+/// execution, and a fault in either component parks how many of the
+/// pair's instructions retired.
 macro_rules! op_kinds {
-    (single: $($s:ident),+; fused: $($f:ident),+ $(,)?) => {
+    (single: $($s:ident),+; pairs: $($p:ident = $f:ident + $g:ident),+ $(,)?) => {
         /// Which body an [`Op`] runs.
         #[allow(non_camel_case_types)]
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[repr(u8)]
         enum Kind {
             $($s,)+
-            $($f,)+
+            $($p,)+
         }
 
         impl Kind {
+            /// Every pair kind, in table order, with its components'
+            /// body names.
+            const PAIRS: &'static [(Kind, &'static str, &'static str)] =
+                &[$((Kind::$p, stringify!($f), stringify!($g))),+];
+
             /// This kind's body, reporting to `S`.
             #[inline(always)]
             fn body<S: Sink>(self) -> ExecFn<S> {
                 match self {
-                    $(Kind::$s => $s::<S>,)+
-                    $(Kind::$f => $f::<S>,)+
+                    $(Kind::$s => |m, op| $s(m, op.first()),)+
+                    $(Kind::$p => |m, op| match $f(m, op.first()) {
+                        Step::Next => $g(m, op.second()),
+                        step => step,
+                    },)+
                 }
             }
 
             /// Architectural instructions an op of this kind retires.
             fn n(self) -> u8 {
                 match self {
-                    $(Kind::$f)|+ => 2,
+                    $(Kind::$p)|+ => 2,
                     _ => 1,
+                }
+            }
+
+            /// The pair kind that fuses a `first` op with the `second`
+            /// right after it, if the table has one.
+            fn pair(first: Kind, second: Kind) -> Option<Kind> {
+                match (first, second) {
+                    $((Kind::$f, Kind::$g) => Some(Kind::$p),)+
+                    _ => None,
                 }
             }
         }
@@ -477,137 +559,178 @@ op_kinds! {
     single: x_mv, x_pti, x_nti, x_sti, x_and, x_or, x_xor, x_add, x_sub,
         x_sr, x_sl, x_comp, x_andi, x_addi, x_shl_k, x_shr_k, x_const, x_li,
         x_beq, x_bne, x_jal, x_jalr, x_load, x_store;
-    fused: x_and_comp, x_or_comp, x_xor_comp, x_mv_comp, x_addi_mv,
-        x_add_comp, x_sub_comp, x_mv_mv, x_mv_addi, x_addi_addi, x_comp_beq,
-        x_comp_bne, x_add_store, x_addi_store, x_mv_store, x_add_load,
-        x_addi_load, x_mv_load, x_load_load, x_load_store, x_store_load,
-        x_store_store, x_load_mv, x_store_mv, x_load_comp, x_load_add,
-        x_load_addi, x_add_add, x_sub_li, x_li_sub,
+    // The adjacent pairs that fuse: the compare-and-branch loop idiom,
+    // register moves and increments, address arithmetic next to a
+    // LOAD/STORE, and LOAD/STORE with each other and with what uses a
+    // loaded value.
+    pairs:
+        x_mv_comp = x_mv + x_comp,
+        x_comp_beq = x_comp + x_beq,
+        x_comp_bne = x_comp + x_bne,
+        x_mv_addi = x_mv + x_addi,
+        x_addi_mv = x_addi + x_mv,
+        x_addi_addi = x_addi + x_addi,
+        x_add_add = x_add + x_add,
+        x_sub_li = x_sub + x_li,
+        x_li_sub = x_li + x_sub,
+        x_add_load = x_add + x_load,
+        x_addi_load = x_addi + x_load,
+        x_mv_load = x_mv + x_load,
+        x_add_store = x_add + x_store,
+        x_addi_store = x_addi + x_store,
+        x_mv_store = x_mv + x_store,
+        x_load_load = x_load + x_load,
+        x_load_store = x_load + x_store,
+        x_store_load = x_store + x_load,
+        x_store_store = x_store + x_store,
+        x_load_mv = x_load + x_mv,
+        x_store_mv = x_store + x_mv,
+        x_load_comp = x_load + x_comp,
+        x_load_add = x_load + x_add,
+        x_load_addi = x_load + x_addi,
 }
 
-// --- compiled op bodies --------------------------------------------------
+// --- op bodies -----------------------------------------------------------
 //
-// Each body mirrors `talu` + the functional step for exactly one
-// instruction (or one fused pair), with every decode-time quantity
-// pre-extracted into the `Op`, and reports each write to the sink as
-// it lands. The differential fuzz oracles and the cross-backend
-// property tests hold these to the shared semantics in `exec.rs`, and
-// the energy oracle holds the reports to its write-back events.
+// One body per instruction. Each mirrors `talu` + the functional step
+// for exactly that instruction, with every decode-time quantity
+// pre-extracted into its `Operands`, and reports each write to the sink
+// as it lands. Every body inlines into the single-op and the pair
+// bodies `op_kinds!` generates from it. The differential fuzz oracles
+// and the cross-backend property tests hold these to the shared
+// semantics in `exec.rs`, and the energy oracle holds the reports to
+// its write-back events.
 
-fn x_mv<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.b));
+#[inline(always)]
+fn x_mv<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, m.r(o.b));
     Step::Next
 }
 
-fn x_pti<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.b).pti());
+#[inline(always)]
+fn x_pti<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, m.r(o.b).pti());
     Step::Next
 }
 
-fn x_nti<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.b).nti());
+#[inline(always)]
+fn x_nti<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, m.r(o.b).nti());
     Step::Next
 }
 
-fn x_sti<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.b).sti());
+#[inline(always)]
+fn x_sti<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, m.r(o.b).sti());
     Step::Next
 }
 
-fn x_and<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).and(m.r(op.b)));
+#[inline(always)]
+fn x_and<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, m.r(o.a).and(m.r(o.b)));
     Step::Next
 }
 
-fn x_or<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).or(m.r(op.b)));
+#[inline(always)]
+fn x_or<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, m.r(o.a).or(m.r(o.b)));
     Step::Next
 }
 
-fn x_xor<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).xor(m.r(op.b)));
+#[inline(always)]
+fn x_xor<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, m.r(o.a).xor(m.r(o.b)));
     Step::Next
 }
 
-fn x_add<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(m.r(op.b)));
+#[inline(always)]
+fn x_add<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, m.r(o.a).wrapping_add(m.r(o.b)));
     Step::Next
 }
 
-fn x_sub<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).wrapping_sub(m.r(op.b)));
+#[inline(always)]
+fn x_sub<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, m.r(o.a).wrapping_sub(m.r(o.b)));
     Step::Next
 }
 
-fn x_sr<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    let amt = m.r(op.b).field::<2>(0);
-    m.set(op.a, op.opcode, shift(m.r(op.a), false, amt));
+#[inline(always)]
+fn x_sr<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    let amt = m.r(o.b).field::<2>(0);
+    m.set(o.a, o.opcode, shift(m.r(o.a), false, amt));
     Step::Next
 }
 
-fn x_sl<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    let amt = m.r(op.b).field::<2>(0);
-    m.set(op.a, op.opcode, shift(m.r(op.a), true, amt));
+#[inline(always)]
+fn x_sl<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    let amt = m.r(o.b).field::<2>(0);
+    m.set(o.a, o.opcode, shift(m.r(o.a), true, amt));
     Step::Next
 }
 
-fn x_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).compare(m.r(op.b)));
+#[inline(always)]
+fn x_comp<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, m.r(o.a).compare(m.r(o.b)));
     Step::Next
 }
 
-fn x_andi<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).and(op.imm));
+#[inline(always)]
+fn x_andi<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, m.r(o.a).and(o.imm));
     Step::Next
 }
 
-fn x_addi<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(op.imm));
+#[inline(always)]
+fn x_addi<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, m.r(o.a).wrapping_add(o.imm));
     Step::Next
 }
 
 // SRI/SLI resolve their balanced shift amount at compile time, so the
 // run-time body is a bare shl/shr by a constant count.
-fn x_shl_k<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).shl(op.c as usize));
+#[inline(always)]
+fn x_shl_k<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, m.r(o.a).shl(o.target as usize));
     Step::Next
 }
 
-fn x_shr_k<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).shr(op.c as usize));
+#[inline(always)]
+fn x_shr_k<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, m.r(o.a).shr(o.target as usize));
     Step::Next
 }
 
 // LUI's whole result is a compile-time constant.
-fn x_const<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, op.imm);
+#[inline(always)]
+fn x_const<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    m.set(o.a, o.opcode, o.imm);
     Step::Next
 }
 
-fn x_li<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+#[inline(always)]
+fn x_li<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
     m.set(
-        op.a,
-        op.opcode,
-        m.r(op.a).with_field::<5>(0, op.imm.field::<5>(0)),
+        o.a,
+        o.opcode,
+        m.r(o.a).with_field::<5>(0, o.imm.field::<5>(0)),
     );
     Step::Next
 }
 
-/// Classifies a computed next-PC exactly like the functional step:
-/// in-range → jump, own address → jump-to-self halt, text length →
-/// fell-off-end halt, anything else → wild-transfer fault.
-#[inline]
-fn resolve_next<S>(m: &mut Machine<S>, target: i64, pc: usize) -> Step {
+/// Classifies a computed next-PC of component `o` exactly like the
+/// functional step: in-range → jump, own address → jump-to-self halt,
+/// text length → fell-off-end halt, anything else → wild-transfer
+/// fault.
+#[inline(always)]
+fn resolve_next<S: Sink>(m: &mut Machine<S>, o: Operands, target: i64) -> Step {
     if target < 0 || target as usize > m.text_len {
-        m.fault = Some(Fault::Wild {
-            target,
-            at_pc: pc as u32,
-        });
+        m.park(o, Cause::Wild(target));
         return Step::Fault;
     }
     let t = target as usize;
-    if t == pc {
-        Step::Halt(HaltReason::JumpToSelf, pc as u32)
+    if t == o.pc as usize {
+        Step::Halt(HaltReason::JumpToSelf, o.pc)
     } else if t == m.text_len {
         Step::Halt(HaltReason::FellOffEnd, t as u32)
     } else {
@@ -615,201 +738,150 @@ fn resolve_next<S>(m: &mut Machine<S>, target: i64, pc: usize) -> Step {
     }
 }
 
-/// Resolves a conditional branch of `opcode` at `pc` to `next`. A
-/// branch drives zero onto the result bus — when it retires, which a
-/// wild transfer does not.
-#[inline]
-fn branch<S: Sink>(m: &mut Machine<S>, opcode: u8, next: i64, pc: usize) -> Step {
-    let step = resolve_next(m, next, pc);
+/// Resolves a conditional branch to its static target when `taken`,
+/// else to the next address. A branch drives zero onto the result bus
+/// — when it retires, which a wild transfer does not.
+#[inline(always)]
+fn branch<S: Sink>(m: &mut Machine<S>, o: Operands, taken: bool) -> Step {
+    let next = if taken { o.target } else { o.pc as i32 + 1 };
+    let step = resolve_next(m, o, i64::from(next));
     if !matches!(step, Step::Fault) {
-        m.sink.bus(opcode, Word9::ZERO);
+        m.sink.bus(o.opcode, Word9::ZERO);
     }
     step
 }
 
-/// Resolves a JAL/JALR to `target` once its link word `op.imm` has
-/// replaced `old`. The write is reported only when the transfer
-/// retires: a wild transfer writes its link but fires no write-back.
-#[inline]
-fn link<S: Sink>(m: &mut Machine<S>, op: &Op, old: Word9, target: i64) -> Step {
-    let step = resolve_next(m, target, op.pc as usize);
+/// Resolves a JAL/JALR to `target` once its precomputed link word
+/// `o.imm` (pc + 1) has landed in `Ta`. The write is reported only when
+/// the transfer retires: a wild transfer writes its link but fires no
+/// write-back.
+#[inline(always)]
+fn link<S: Sink>(m: &mut Machine<S>, o: Operands, target: i64) -> Step {
+    let old = std::mem::replace(&mut m.state.trf[o.a as usize], o.imm);
+    let step = resolve_next(m, o, target);
     if !matches!(step, Step::Fault) {
-        m.sink.reg(op.opcode, old, op.imm);
-        m.sink.bus(op.opcode, op.imm);
+        m.sink.reg(o.opcode, old, o.imm);
+        m.sink.bus(o.opcode, o.imm);
     }
     step
 }
 
-fn x_beq<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    let pc = op.pc as usize;
-    let next = if m.r(op.b).lst() == op.cond {
-        op.target
-    } else {
-        pc as i64 + 1
-    };
-    branch(m, op.opcode, next, pc)
+#[inline(always)]
+fn x_beq<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    let taken = m.r(o.b).lst() == o.cond;
+    branch(m, o, taken)
 }
 
-fn x_bne<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    let pc = op.pc as usize;
-    let next = if m.r(op.b).lst() != op.cond {
-        op.target
-    } else {
-        pc as i64 + 1
-    };
-    branch(m, op.opcode, next, pc)
+#[inline(always)]
+fn x_bne<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    let taken = m.r(o.b).lst() != o.cond;
+    branch(m, o, taken)
 }
 
-fn x_jal<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    // link = pc + 1, precomputed
-    let old = std::mem::replace(&mut m.state.trf[op.a as usize], op.imm);
-    link(m, op, old, op.target)
+#[inline(always)]
+fn x_jal<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    link(m, o, i64::from(o.target))
 }
 
-fn x_jalr<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
+#[inline(always)]
+fn x_jalr<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
     // Target reads Tb before the link write lands in Ta (a == b case).
     // Each JALR site inline-caches its last base word next to the
     // computed target (return addresses repeat heavily), skipping the
     // balanced-ternary conversion on a hit.
-    let w = m.r(op.b);
-    let ic = &mut m.icache[op.site as usize];
+    let w = m.r(o.b);
+    let ic = &mut m.icache[o.site as usize];
     let target = if ic.base == w {
         ic.value
     } else {
-        let t = w.wrapping_add(op.imm2).to_i64();
+        let t = wrap(w.to_i64() + i64::from(o.target));
         *ic = InlineCache { base: w, value: t };
         t
     };
-    let old = std::mem::replace(&mut m.state.trf[op.a as usize], op.imm);
-    link(m, op, old, target)
+    link(m, o, target)
 }
 
-/// Resolves a LOAD/STORE effective address `base + off` through the
-/// site's inline cache: on a base-word hit the address is an integer
-/// add with one conditional balanced wrap (matching `wrapping_add`
-/// exactly); on a miss, the full ternary resolve runs and refills the
-/// cache. `None` parks the fault on the machine.
-#[inline]
-fn tdm_index<S>(
-    m: &mut Machine<S>,
-    base: Word9,
-    off_word: Word9,
-    off: i64,
-    site: u32,
-    pc: usize,
-    retired: u8,
-) -> Option<usize> {
-    let ic = &mut m.icache[site as usize];
+/// `v` wrapped into the balanced 9-trit range, for `v` less than one
+/// modulus outside it: the integer image of `wrapping_add`.
+#[inline(always)]
+fn wrap(v: i64) -> i64 {
+    if v > Word9::MAX_VALUE {
+        v - Word9::MODULUS
+    } else if v < -Word9::MAX_VALUE {
+        v + Word9::MODULUS
+    } else {
+        v
+    }
+}
+
+/// Resolves the effective address `base + offset` of LOAD/STORE `o`
+/// through its site's inline cache: on a base-word hit the address is
+/// an integer add with one conditional balanced wrap (matching
+/// `wrapping_add` exactly); on a miss, the full ternary resolve runs
+/// and refills the cache. `None` parks the fault on the machine.
+#[inline(always)]
+fn tdm_index<S: Sink>(m: &mut Machine<S>, base: Word9, o: Operands) -> Option<usize> {
+    let off = i64::from(o.target);
+    let ic = &mut m.icache[o.site as usize];
     if ic.base == base {
-        let mut v = ic.value + off;
-        if v > Word9::MAX_VALUE {
-            v -= Word9::MODULUS;
-        } else if v < -Word9::MAX_VALUE {
-            v += Word9::MODULUS;
-        }
-        if v < 0 || v as usize >= m.state.tdm.size() {
-            m.fault = Some(Fault::Mem {
-                pc,
-                cause: TernaryError::AddressRange {
-                    address: v,
-                    size: m.state.tdm.size(),
-                },
-                retired,
-            });
+        let v = wrap(ic.value + off);
+        let size = m.state.tdm.size();
+        if v < 0 || v as usize >= size {
+            let cause = TernaryError::AddressRange { address: v, size };
+            m.park(o, Cause::Mem(cause));
             return None;
         }
         Some(v as usize)
     } else {
-        let addr = base.wrapping_add(off_word);
-        match m.state.tdm.resolve(addr) {
+        match m.state.tdm.resolve(base.wrapping_add(o.imm)) {
             Ok(idx) => {
                 // The base's integer value is derived from the resolved
                 // index arithmetically (undoing the offset modulo the
                 // balanced word range) instead of a second ternary
                 // conversion.
-                let mut v = idx as i64 - off;
-                if v > Word9::MAX_VALUE {
-                    v -= Word9::MODULUS;
-                } else if v < -Word9::MAX_VALUE {
-                    v += Word9::MODULUS;
-                }
-                *ic = InlineCache { base, value: v };
+                *ic = InlineCache {
+                    base,
+                    value: wrap(idx as i64 - off),
+                };
                 Some(idx)
             }
             Err(cause) => {
-                m.fault = Some(Fault::Mem { pc, cause, retired });
+                m.park(o, Cause::Mem(cause));
                 None
             }
         }
     }
 }
 
-/// The load body shared by the unfused op and the fused pairs, for the
-/// component with `opcode`. `false` parks the fault on the machine.
-/// (The argument list is the point: every value arrives pre-extracted
-/// in registers, no struct indirection on the hot path.)
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn do_load<S: Sink>(
-    m: &mut Machine<S>,
-    dst_reg: u8,
-    base_reg: u8,
-    off_word: Word9,
-    off: i64,
-    site: u32,
-    pc: usize,
-    retired: u8,
-    opcode: u8,
-) -> bool {
-    let base = m.r(base_reg);
-    let Some(idx) = tdm_index(m, base, off_word, off, site, pc, retired) else {
-        return false;
+#[inline(always)]
+fn x_load<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    let base = m.r(o.b);
+    let Some(idx) = tdm_index(m, base, o) else {
+        return Step::Fault;
     };
     match m.state.tdm.read(idx) {
         Ok(v) => {
-            let old = std::mem::replace(&mut m.state.trf[dst_reg as usize], v);
-            m.sink.reg(opcode, old, v);
+            let old = std::mem::replace(&mut m.state.trf[o.a as usize], v);
+            m.sink.reg(o.opcode, old, v);
             if S::COUNTS {
                 // The effective address is what drives the result bus.
-                m.sink.bus(opcode, base.wrapping_add(off_word));
+                m.sink.bus(o.opcode, base.wrapping_add(o.imm));
             }
-            true
+            Step::Next
         }
         Err(cause) => {
-            m.fault = Some(Fault::Mem { pc, cause, retired });
-            false
+            m.park(o, Cause::Mem(cause));
+            Step::Fault
         }
     }
 }
 
-fn x_load<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    if mem_first(m, op, true) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
-}
-
-/// The store body shared by the unfused op and the fused pairs, for the
-/// component with `opcode`. `false` parks the fault on the machine.
-/// (Same flat-argument convention as `do_load`.)
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn do_store<S: Sink>(
-    m: &mut Machine<S>,
-    val_reg: u8,
-    base_reg: u8,
-    off_word: Word9,
-    off: i64,
-    site: u32,
-    pc: usize,
-    retired: u8,
-    opcode: u8,
-) -> bool {
-    let v = m.r(val_reg);
-    let base = m.r(base_reg);
-    let Some(idx) = tdm_index(m, base, off_word, off, site, pc, retired) else {
-        return false;
+#[inline(always)]
+fn x_store<S: Sink>(m: &mut Machine<S>, o: Operands) -> Step {
+    let v = m.r(o.a);
+    let base = m.r(o.b);
+    let Some(idx) = tdm_index(m, base, o) else {
+        return Step::Fault;
     };
     let old = if S::COUNTS {
         m.state.tdm.read(idx).ok()
@@ -819,295 +891,16 @@ fn do_store<S: Sink>(
     match m.state.tdm.write(idx, v) {
         Ok(()) => {
             if let Some(old) = old {
-                m.sink.tdm(opcode, old, v);
-                m.sink.bus(opcode, base.wrapping_add(off_word));
+                m.sink.tdm(o.opcode, old, v);
+                m.sink.bus(o.opcode, base.wrapping_add(o.imm));
             }
-            true
+            Step::Next
         }
         Err(cause) => {
-            m.fault = Some(Fault::Mem { pc, cause, retired });
-            false
+            m.park(o, Cause::Mem(cause));
+            Step::Fault
         }
     }
-}
-
-fn x_store<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    if mem_first(m, op, false) {
-        Step::Next
-    } else {
-        Step::Fault
-    }
-}
-
-// --- fused pair bodies ---------------------------------------------------
-//
-// Each fused body applies its two components in program order, so
-// intra-pair register dependencies behave exactly as in sequential
-// execution. Faultable components (LOAD/STORE) may sit in either
-// position: a fault parks how many of the pair's instructions retired
-// (the faulting one included, per the architectural convention), so
-// the engine settles partial pairs exactly.
-
-fn x_and_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).and(m.r(op.b)));
-    m.set(op.c, op.opcode2, m.r(op.c).compare(m.r(op.d)));
-    Step::Next
-}
-
-fn x_or_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).or(m.r(op.b)));
-    m.set(op.c, op.opcode2, m.r(op.c).compare(m.r(op.d)));
-    Step::Next
-}
-
-fn x_xor_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).xor(m.r(op.b)));
-    m.set(op.c, op.opcode2, m.r(op.c).compare(m.r(op.d)));
-    Step::Next
-}
-
-fn x_mv_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.b));
-    m.set(op.c, op.opcode2, m.r(op.c).compare(m.r(op.d)));
-    Step::Next
-}
-
-fn x_addi_mv<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(op.imm));
-    m.set(op.c, op.opcode2, m.r(op.d));
-    Step::Next
-}
-
-fn x_add_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(m.r(op.b)));
-    m.set(op.c, op.opcode2, m.r(op.c).compare(m.r(op.d)));
-    Step::Next
-}
-
-fn x_sub_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).wrapping_sub(m.r(op.b)));
-    m.set(op.c, op.opcode2, m.r(op.c).compare(m.r(op.d)));
-    Step::Next
-}
-
-fn x_mv_mv<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.b));
-    m.set(op.c, op.opcode2, m.r(op.d));
-    Step::Next
-}
-
-fn x_mv_addi<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.b));
-    m.set(op.c, op.opcode2, m.r(op.c).wrapping_add(op.imm2));
-    Step::Next
-}
-
-fn x_addi_addi<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(op.imm));
-    m.set(op.c, op.opcode2, m.r(op.c).wrapping_add(op.imm2));
-    Step::Next
-}
-
-// Fused compare-and-branch terminators: the COMP result lands in the
-// register file exactly as unfused, then the branch resolves against
-// it. The branch's own address is `op.pc + 1`.
-
-fn x_comp_beq<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).compare(m.r(op.b)));
-    let pc = op.pc as usize + 1;
-    let next = if m.r(op.d).lst() == op.cond {
-        op.target
-    } else {
-        pc as i64 + 1
-    };
-    branch(m, op.opcode2, next, pc)
-}
-
-fn x_comp_bne<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).compare(m.r(op.b)));
-    let pc = op.pc as usize + 1;
-    let next = if m.r(op.d).lst() != op.cond {
-        op.target
-    } else {
-        pc as i64 + 1
-    };
-    branch(m, op.opcode2, next, pc)
-}
-
-/// The second component of a fused pair is a LOAD (`load`) or STORE
-/// whose site/offset live in `site`/`target`, at address `op.pc + 1`.
-#[inline]
-fn mem_second<S: Sink>(m: &mut Machine<S>, op: &Op, load: bool) -> Step {
-    let pc = op.pc as usize + 1;
-    let done = if load {
-        do_load(
-            m, op.c, op.d, op.imm2, op.target, op.site, pc, 2, op.opcode2,
-        )
-    } else {
-        do_store(
-            m, op.c, op.d, op.imm2, op.target, op.site, pc, 2, op.opcode2,
-        )
-    };
-    if done {
-        Step::Next
-    } else {
-        Step::Fault
-    }
-}
-
-fn x_add_store<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(m.r(op.b)));
-    mem_second(m, op, false)
-}
-
-fn x_addi_store<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(op.imm));
-    mem_second(m, op, false)
-}
-
-fn x_mv_store<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.b));
-    mem_second(m, op, false)
-}
-
-fn x_add_load<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(m.r(op.b)));
-    mem_second(m, op, true)
-}
-
-fn x_addi_load<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(op.imm));
-    mem_second(m, op, true)
-}
-
-fn x_mv_load<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.b));
-    mem_second(m, op, true)
-}
-
-// Memory-first pairs: the first component's site/offset live in
-// `site`/`target`, the second's in `site2`/`off2`.
-
-/// A LOAD (`load`) or STORE at `op.pc`, alone or as the first
-/// component of a memory-first pair.
-#[inline]
-fn mem_first<S: Sink>(m: &mut Machine<S>, op: &Op, load: bool) -> bool {
-    let pc = op.pc as usize;
-    if load {
-        do_load(m, op.a, op.b, op.imm, op.target, op.site, pc, 1, op.opcode)
-    } else {
-        do_store(m, op.a, op.b, op.imm, op.target, op.site, pc, 1, op.opcode)
-    }
-}
-
-/// The second component of a memory-memory pair, at `op.pc + 1`.
-#[inline]
-fn mem_mem_second<S: Sink>(m: &mut Machine<S>, op: &Op, load: bool) -> Step {
-    let (off, pc) = (op.off2 as i64, op.pc as usize + 1);
-    let done = if load {
-        do_load(m, op.c, op.d, op.imm2, off, op.site2, pc, 2, op.opcode2)
-    } else {
-        do_store(m, op.c, op.d, op.imm2, off, op.site2, pc, 2, op.opcode2)
-    };
-    if done {
-        Step::Next
-    } else {
-        Step::Fault
-    }
-}
-
-fn x_load_load<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    if !mem_first(m, op, true) {
-        return Step::Fault;
-    }
-    mem_mem_second(m, op, true)
-}
-
-fn x_load_store<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    if !mem_first(m, op, true) {
-        return Step::Fault;
-    }
-    mem_mem_second(m, op, false)
-}
-
-fn x_store_load<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    if !mem_first(m, op, false) {
-        return Step::Fault;
-    }
-    mem_mem_second(m, op, true)
-}
-
-fn x_store_store<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    if !mem_first(m, op, false) {
-        return Step::Fault;
-    }
-    mem_mem_second(m, op, false)
-}
-
-fn x_load_mv<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    if !mem_first(m, op, true) {
-        return Step::Fault;
-    }
-    m.set(op.c, op.opcode2, m.r(op.d));
-    Step::Next
-}
-
-fn x_store_mv<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    if !mem_first(m, op, false) {
-        return Step::Fault;
-    }
-    m.set(op.c, op.opcode2, m.r(op.d));
-    Step::Next
-}
-
-fn x_load_comp<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    if !mem_first(m, op, true) {
-        return Step::Fault;
-    }
-    m.set(op.c, op.opcode2, m.r(op.c).compare(m.r(op.d)));
-    Step::Next
-}
-
-fn x_load_add<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    if !mem_first(m, op, true) {
-        return Step::Fault;
-    }
-    m.set(op.c, op.opcode2, m.r(op.c).wrapping_add(m.r(op.d)));
-    Step::Next
-}
-
-fn x_load_addi<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    if !mem_first(m, op, true) {
-        return Step::Fault;
-    }
-    m.set(op.c, op.opcode2, m.r(op.c).wrapping_add(op.imm2));
-    Step::Next
-}
-
-fn x_add_add<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).wrapping_add(m.r(op.b)));
-    m.set(op.c, op.opcode2, m.r(op.c).wrapping_add(m.r(op.d)));
-    Step::Next
-}
-
-fn x_sub_li<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(op.a, op.opcode, m.r(op.a).wrapping_sub(m.r(op.b)));
-    m.set(
-        op.c,
-        op.opcode2,
-        m.r(op.c).with_field::<5>(0, op.imm2.field::<5>(0)),
-    );
-    Step::Next
-}
-
-fn x_li_sub<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
-    m.set(
-        op.a,
-        op.opcode,
-        m.r(op.a).with_field::<5>(0, op.imm.field::<5>(0)),
-    );
-    m.set(op.c, op.opcode2, m.r(op.c).wrapping_sub(m.r(op.d)));
-    Step::Next
 }
 
 // --- compilation ---------------------------------------------------------
@@ -1117,235 +910,128 @@ fn x_li_sub<S: Sink>(m: &mut Machine<S>, op: &Op) -> Step {
 fn compile_op(instr: &Instruction, pc: usize, link: Word9, sites: &mut u32) -> Op {
     use Instruction::*;
     let r = |t: &TReg| t.index() as u8;
-    let mut site = || {
-        let s = *sites;
-        *sites += 1;
-        s
+    let kind = match instr {
+        Mv { .. } => Kind::x_mv,
+        Pti { .. } => Kind::x_pti,
+        Nti { .. } => Kind::x_nti,
+        Sti { .. } => Kind::x_sti,
+        And { .. } => Kind::x_and,
+        Or { .. } => Kind::x_or,
+        Xor { .. } => Kind::x_xor,
+        Add { .. } => Kind::x_add,
+        Sub { .. } => Kind::x_sub,
+        Sr { .. } => Kind::x_sr,
+        Sl { .. } => Kind::x_sl,
+        Comp { .. } => Kind::x_comp,
+        Andi { .. } => Kind::x_andi,
+        Addi { .. } => Kind::x_addi,
+        // Balanced shift amounts resolve at compile time: a negative
+        // amount reverses the direction (DESIGN.md §3.2).
+        Sri { imm, .. } if imm.to_i64() >= 0 => Kind::x_shr_k,
+        Sli { imm, .. } if imm.to_i64() < 0 => Kind::x_shr_k,
+        Sri { .. } | Sli { .. } => Kind::x_shl_k,
+        Lui { .. } => Kind::x_const,
+        Li { .. } => Kind::x_li,
+        Beq { .. } => Kind::x_beq,
+        Bne { .. } => Kind::x_bne,
+        Jal { .. } => Kind::x_jal,
+        Jalr { .. } => Kind::x_jalr,
+        Load { .. } => Kind::x_load,
+        Store { .. } => Kind::x_store,
     };
     let mut op = Op {
-        exec: x_mv,
+        exec: kind.body(),
         a: 0,
         b: 0,
-        c: 0,
-        d: 0,
+        a2: 0,
+        b2: 0,
         cond: Trit::Z,
         imm: Word9::ZERO,
         imm2: Word9::ZERO,
         target: 0,
+        target2: 0,
         site: u32::MAX,
-        off2: 0,
         site2: u32::MAX,
         pc: pc as u32,
-        kind: Kind::x_mv,
+        kind,
         opcode: instr.opcode() as u8,
         opcode2: 0,
     };
     match instr {
-        Mv { a, b } => {
-            op.kind = Kind::x_mv;
+        Mv { a, b }
+        | Pti { a, b }
+        | Nti { a, b }
+        | Sti { a, b }
+        | And { a, b }
+        | Or { a, b }
+        | Xor { a, b }
+        | Add { a, b }
+        | Sub { a, b }
+        | Sr { a, b }
+        | Sl { a, b }
+        | Comp { a, b } => {
             op.a = r(a);
             op.b = r(b);
         }
-        Pti { a, b } => {
-            op.kind = Kind::x_pti;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Nti { a, b } => {
-            op.kind = Kind::x_nti;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Sti { a, b } => {
-            op.kind = Kind::x_sti;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        And { a, b } => {
-            op.kind = Kind::x_and;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Or { a, b } => {
-            op.kind = Kind::x_or;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Xor { a, b } => {
-            op.kind = Kind::x_xor;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Add { a, b } => {
-            op.kind = Kind::x_add;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Sub { a, b } => {
-            op.kind = Kind::x_sub;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Sr { a, b } => {
-            op.kind = Kind::x_sr;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Sl { a, b } => {
-            op.kind = Kind::x_sl;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Comp { a, b } => {
-            op.kind = Kind::x_comp;
-            op.a = r(a);
-            op.b = r(b);
-        }
-        Andi { a, imm } => {
-            op.kind = Kind::x_andi;
+        Andi { a, imm } | Addi { a, imm } => {
             op.a = r(a);
             op.imm = imm.resize::<9>();
         }
-        Addi { a, imm } => {
-            op.kind = Kind::x_addi;
+        Sri { a, imm } | Sli { a, imm } => {
             op.a = r(a);
-            op.imm = imm.resize::<9>();
-        }
-        // Balanced shift amounts resolve at compile time: a negative
-        // amount reverses the direction (DESIGN.md §3.2).
-        Sri { a, imm } => {
-            let v = imm.to_i64();
-            op.kind = if v >= 0 { Kind::x_shr_k } else { Kind::x_shl_k };
-            op.a = r(a);
-            op.c = v.unsigned_abs() as u8;
-        }
-        Sli { a, imm } => {
-            let v = imm.to_i64();
-            op.kind = if v >= 0 { Kind::x_shl_k } else { Kind::x_shr_k };
-            op.a = r(a);
-            op.c = v.unsigned_abs() as u8;
+            op.target = imm.to_i64().abs() as i32;
         }
         Lui { a, imm } => {
-            op.kind = Kind::x_const;
             op.a = r(a);
             op.imm = Word9::ZERO.with_field::<4>(5, *imm);
         }
         Li { a, imm } => {
-            op.kind = Kind::x_li;
             op.a = r(a);
             op.imm = Word9::ZERO.with_field::<5>(0, *imm);
         }
-        Beq { b, cond, offset } => {
-            op.kind = Kind::x_beq;
+        Beq { b, cond, offset } | Bne { b, cond, offset } => {
             op.b = r(b);
             op.cond = *cond;
-            op.target = pc as i64 + offset.to_i64();
-        }
-        Bne { b, cond, offset } => {
-            op.kind = Kind::x_bne;
-            op.b = r(b);
-            op.cond = *cond;
-            op.target = pc as i64 + offset.to_i64();
+            op.target = pc as i32 + offset.to_i64() as i32;
         }
         Jal { a, offset } => {
-            op.kind = Kind::x_jal;
             op.a = r(a);
             op.imm = link;
-            op.target = pc as i64 + offset.to_i64();
+            op.target = pc as i32 + offset.to_i64() as i32;
         }
-        Jalr { a, b, offset } => {
-            op.kind = Kind::x_jalr;
+        Jalr { a, b, offset } | Load { a, b, offset } | Store { a, b, offset } => {
             op.a = r(a);
             op.b = r(b);
-            op.imm = link;
-            op.imm2 = offset.resize::<9>();
-            op.site = site();
-        }
-        Load { a, b, offset } => {
-            op.kind = Kind::x_load;
-            op.a = r(a);
-            op.b = r(b);
-            op.imm = offset.resize::<9>();
-            op.target = offset.to_i64();
-            op.site = site();
-        }
-        Store { a, b, offset } => {
-            op.kind = Kind::x_store;
-            op.a = r(a);
-            op.b = r(b);
-            op.imm = offset.resize::<9>();
-            op.target = offset.to_i64();
-            op.site = site();
+            // A JALR's `imm` is its link word.
+            op.imm = if matches!(instr, Jalr { .. }) {
+                link
+            } else {
+                offset.resize::<9>()
+            };
+            op.target = offset.to_i64() as i32;
+            op.site = *sites;
+            *sites += 1;
         }
     }
-    op.exec = op.kind.body();
     op
 }
 
-/// Fuses two adjacent unfused ops into one, when the pair matches a
-/// known-hot shape. Components keep program order inside the fused
-/// body, so `None` is only about profitability, never correctness.
-fn fuse(first: &Op, second: &Op, i1: &Instruction, i2: &Instruction) -> Option<Op> {
-    use Instruction::*;
-    let kind = match (i1, i2) {
-        (And { .. }, Comp { .. }) => Kind::x_and_comp,
-        (Or { .. }, Comp { .. }) => Kind::x_or_comp,
-        (Xor { .. }, Comp { .. }) => Kind::x_xor_comp,
-        (Mv { .. }, Comp { .. }) => Kind::x_mv_comp,
-        (Add { .. }, Comp { .. }) => Kind::x_add_comp,
-        (Sub { .. }, Comp { .. }) => Kind::x_sub_comp,
-        (Mv { .. }, Mv { .. }) => Kind::x_mv_mv,
-        (Mv { .. }, Addi { .. }) => Kind::x_mv_addi,
-        (Addi { .. }, Mv { .. }) => Kind::x_addi_mv,
-        (Addi { .. }, Addi { .. }) => Kind::x_addi_addi,
-        (Add { .. }, Add { .. }) => Kind::x_add_add,
-        (Sub { .. }, Li { .. }) => Kind::x_sub_li,
-        (Li { .. }, Sub { .. }) => Kind::x_li_sub,
-        (Add { .. }, Store { .. }) => Kind::x_add_store,
-        (Addi { .. }, Store { .. }) => Kind::x_addi_store,
-        (Mv { .. }, Store { .. }) => Kind::x_mv_store,
-        (Add { .. }, Load { .. }) => Kind::x_add_load,
-        (Addi { .. }, Load { .. }) => Kind::x_addi_load,
-        (Mv { .. }, Load { .. }) => Kind::x_mv_load,
-        (Load { .. }, Load { .. }) => Kind::x_load_load,
-        (Load { .. }, Store { .. }) => Kind::x_load_store,
-        (Store { .. }, Load { .. }) => Kind::x_store_load,
-        (Store { .. }, Store { .. }) => Kind::x_store_store,
-        (Load { .. }, Mv { .. }) => Kind::x_load_mv,
-        (Store { .. }, Mv { .. }) => Kind::x_store_mv,
-        (Load { .. }, Comp { .. }) => Kind::x_load_comp,
-        (Load { .. }, Add { .. }) => Kind::x_load_add,
-        (Load { .. }, Addi { .. }) => Kind::x_load_addi,
-        (Comp { .. }, Beq { .. }) => Kind::x_comp_beq,
-        (Comp { .. }, Bne { .. }) => Kind::x_comp_bne,
-        _ => return None,
-    };
-    // `site`/`target` carry the first component's memory-access data
-    // when the first component is a memory op, otherwise the second's
-    // (the second's then also lands in `site2`/`off2`, which only the
-    // memory-first pair bodies read).
-    let mem_first = matches!(i1, Load { .. } | Store { .. });
+/// Fuses two adjacent unfused ops into one when the table has their
+/// pair. Components keep program order inside the fused body, so
+/// `None` is only about profitability, never correctness.
+fn fuse(first: &Op, second: &Op) -> Option<Op> {
+    let kind = Kind::pair(first.kind, second.kind)?;
     Some(Op {
         exec: kind.body(),
-        a: first.a,
-        b: first.b,
-        c: second.a,
-        d: second.b,
-        cond: second.cond,
-        imm: first.imm,
-        imm2: second.imm,
-        target: if mem_first {
-            first.target
-        } else {
-            second.target
-        },
-        site: if mem_first { first.site } else { second.site },
-        off2: second.target as i32,
-        site2: second.site,
-        pc: first.pc,
         kind,
-        opcode: first.opcode,
+        a2: second.a,
+        b2: second.b,
+        cond: second.cond,
+        imm2: second.imm,
+        target2: second.target,
+        site2: second.site,
         opcode2: second.opcode,
+        ..*first
     })
 }
 
@@ -1438,7 +1124,7 @@ impl ThreadedCode {
             let mut i = start;
             while i <= end {
                 if i < end {
-                    if let Some(f) = fuse(&ops[i], &ops[i + 1], &text[i], &text[i + 1]) {
+                    if let Some(f) = fuse(&ops[i], &ops[i + 1]) {
                         all_fused.push(f);
                         i += 2;
                         continue;
@@ -1654,6 +1340,33 @@ impl ThreadedSim {
         self.code.fused.iter().filter(|op| op.kind.n() == 2).count()
     }
 
+    /// One row per entry of the fusion table, in table order: the pair
+    /// as `FIRST+SECOND` mnemonics, its static occurrences in the
+    /// compiled superblocks, and how many times those ran inside
+    /// whole-block executions since the build or the last restore (a
+    /// block tail entered mid-way runs unfused and is not counted).
+    pub fn fusion_profile(&self) -> Vec<(String, usize, u64)> {
+        let mnemonic = |body: &str| body.trim_start_matches("x_").to_ascii_uppercase();
+        Kind::PAIRS
+            .iter()
+            .map(|&(kind, first, second)| {
+                let (mut sites, mut executed) = (0, 0);
+                for (block, &execs) in self.code.blocks.iter().zip(&self.block_execs) {
+                    let here = self
+                        .code
+                        .fused_ops(block)
+                        .iter()
+                        .filter(|op| op.kind == kind)
+                        .count();
+                    sites += here;
+                    executed += here as u64 * execs;
+                }
+                let name = format!("{}+{}", mnemonic(first), mnemonic(second));
+                (name, sites, executed)
+            })
+            .collect()
+    }
+
     /// Number of inline-cached TDM base sites (one per static
     /// LOAD/STORE occurrence).
     pub fn inline_cache_sites(&self) -> usize {
@@ -1678,9 +1391,12 @@ impl ThreadedSim {
     }
 
     fn convert_fault(&self, fault: Fault) -> SimError {
-        match fault {
-            Fault::Mem { pc, cause, .. } => SimError::MemoryFault { pc, cause },
-            Fault::Wild { target, .. } => SimError::PcOutOfRange {
+        match fault.cause {
+            Cause::Mem(cause) => SimError::MemoryFault {
+                pc: fault.pc as usize,
+                cause,
+            },
+            Cause::Wild(target) => SimError::PcOutOfRange {
                 at: self.arch.instructions,
                 pc: target,
                 tim_size: self.code.ops.len(),
@@ -1906,36 +1622,19 @@ impl ThreadedSim {
             // accounted per-op.
             if let Some((bi, i)) = failed {
                 let block = &code.blocks[bi as usize];
-                let fused = code.fused_ops(block);
-                let mut done = 0usize;
-                for op in &fused[..i] {
-                    done += usize::from(op.kind.n());
-                    self.arch.mix[op.opcode as usize] += 1;
-                    if op.kind.n() == 2 {
-                        self.arch.mix[op.opcode2 as usize] += 1;
-                    }
+                let before: usize = code.fused_ops(block)[..i]
+                    .iter()
+                    .map(|op| usize::from(op.kind.n()))
+                    .sum();
+                let done = before + usize::from(fault.retired);
+                let start = block.start as usize;
+                for instr in &self.arch.text[start..start + done] {
+                    self.arch.mix[instr.opcode()] += 1;
                 }
-                let at = &fused[i];
-                let partial = usize::from(match &fault {
-                    Fault::Mem { retired, .. } => *retired,
-                    Fault::Wild { .. } => at.kind.n(),
-                });
-                self.arch.instructions += (done + partial) as u64;
-                self.arch.mix[at.opcode as usize] += 1;
-                if partial == 2 {
-                    self.arch.mix[at.opcode2 as usize] += 1;
-                }
-                sink.steps(
-                    &code,
-                    &self.arch.text,
-                    block.start as usize,
-                    done + partial - 1,
-                );
+                self.arch.instructions += done as u64;
+                sink.steps(&code, &self.arch.text, start, done - 1);
             }
-            self.arch.state.pc = match &fault {
-                Fault::Mem { pc, .. } => *pc,
-                Fault::Wild { at_pc, .. } => *at_pc as usize,
-            };
+            self.arch.state.pc = fault.pc as usize;
             return Err(self.convert_fault(fault));
         }
         if let Some(reason) = halt {

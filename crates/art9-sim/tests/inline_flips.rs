@@ -3,9 +3,10 @@
 //! (`EnergyAccounting::new`). These are the edge cases of that path —
 //! budget cuts inside fused blocks, mid-block landings, faults inside
 //! fused pairs, checkpoint restores and migrations — each held to the
-//! functional backend's per-opcode counters, bit for bit. The last
+//! functional backend's per-opcode counters, bit for bit. Further
 //! tests pin the fallback rule: every other observer set keeps the
-//! event path and today's counts.
+//! event path and today's counts. The last one runs every entry of the
+//! fusion table, bare and with energy attached.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -287,4 +288,151 @@ fn handed_over_counters_are_kept_by_whole_blocks_without_events() {
     assert_eq!(obs.writebacks, 0);
     assert_eq!(&obs.counters, f_acc.counters());
     assert_eq!(obs.counters.totals().retired, f.retired());
+}
+
+/// One loop body per entry of the threaded backend's fusion table, as
+/// `(pair, body)`: the body opens with that adjacent pair, so the pair
+/// heads the loop's superblock and fuses. The two components use
+/// different registers, immediates and offsets, on registers and words
+/// holding different values, so a component that read the other's
+/// operands changes the outcome. A first component's LOAD/STORE base is
+/// t3, a second's t2. The branches go both ways across the iterations.
+const PAIR_BODIES: [(&str, &str); 24] = [
+    ("MV+COMP", "MV t1, t6\nCOMP t4, t5"),
+    ("COMP+BEQ", "COMP t4, t6\nBEQ t4, +, skip\nLI t4, 20\nskip:"),
+    ("COMP+BNE", "COMP t4, t6\nBNE t4, -, skip\nLI t4, 20\nskip:"),
+    ("MV+ADDI", "MV t1, t6\nADDI t4, 3"),
+    ("ADDI+MV", "ADDI t4, 4\nMV t1, t5"),
+    ("ADDI+ADDI", "ADDI t4, 2\nADDI t6, -5"),
+    ("ADD+ADD", "ADD t4, t1\nADD t6, t5"),
+    ("SUB+LI", "SUB t4, t1\nLI t6, 40"),
+    ("LI+SUB", "LI t4, -50\nSUB t6, t5"),
+    ("ADD+LOAD", "ADD t4, t1\nLOAD t6, t2, 2"),
+    ("ADDI+LOAD", "ADDI t4, 4\nLOAD t6, t2, -1"),
+    ("MV+LOAD", "MV t1, t6\nLOAD t4, t2, 3"),
+    ("ADD+STORE", "ADD t4, t1\nSTORE t6, t2, 1"),
+    ("ADDI+STORE", "ADDI t4, -2\nSTORE t1, t2, 4"),
+    ("MV+STORE", "MV t1, t6\nSTORE t4, t2, -2"),
+    ("LOAD+LOAD", "LOAD t4, t3, 1\nLOAD t6, t2, 3"),
+    ("LOAD+STORE", "LOAD t4, t3, 2\nSTORE t1, t2, 0"),
+    ("STORE+LOAD", "STORE t1, t3, -1\nLOAD t4, t2, 4"),
+    ("STORE+STORE", "STORE t6, t3, 3\nSTORE t4, t2, 2"),
+    ("LOAD+MV", "LOAD t4, t3, 0\nMV t1, t5"),
+    ("STORE+MV", "STORE t4, t3, 4\nMV t1, t6"),
+    ("LOAD+COMP", "LOAD t4, t3, -2\nCOMP t6, t5"),
+    ("LOAD+ADD", "LOAD t4, t3, 1\nADD t6, t1"),
+    ("LOAD+ADDI", "LOAD t4, t3, 3\nADDI t6, 2"),
+];
+
+/// A three-iteration loop around `body`, over distinct register values
+/// and TDM words. The loop tail perturbs t1 and t5, so each iteration
+/// sees new values, and fuses nothing, so only `body` exercises a pair.
+/// `bad_base` is moved outside the 256-word TDM first.
+fn pair_loop(body: &str, bad_base: Option<&str>) -> Program {
+    let bad = bad_base.map_or(String::new(), |r| format!("LI {r}, 121\nLUI {r}, 40\n"));
+    assemble(&format!(
+        "
+        .data
+        v: .word 40, -31, 22, -13, 4, 50, -61, 72, -83, 94, 15, -26, 37, -48, 59, 60
+        .text
+        LI t1, 7
+        LI t2, 5
+        LI t3, 11
+        LI t4, -3
+        LI t5, -7
+        LI t6, 13
+        LI t8, 3
+        {bad}
+    loop:
+        {body}
+        ADDI t8, -1
+        SUB t5, t8
+        MV t7, t8
+        XOR t1, t8
+        COMP t7, t0
+        SLI t1, 1
+        BEQ t7, +, loop
+        JAL t0, 0
+    "
+    ))
+    .unwrap()
+}
+
+/// Compares a threaded run of `p`, bare and with `EnergyAccounting`,
+/// with the functional run: result, state, retired count, instruction
+/// mix and (energy run) every per-opcode counter. Returns what differs.
+fn threaded_vs_functional(p: &Program) -> Vec<String> {
+    let (f_result, f, f_acc) = functional(p);
+    let mut diffs = Vec::new();
+    let e = energy();
+    let runs = [
+        (
+            "bare",
+            SimBuilder::new(p).backend(Backend::Threaded).build(),
+        ),
+        ("energy", builder(p, Backend::Threaded, &e).build()),
+    ];
+    for (what, mut core) in runs {
+        let result = core.run_for(Budget::Steps(1_000_000)).map(|_| ());
+        if result != f_result {
+            diffs.push(format!("{what}: {result:?} vs {f_result:?}"));
+        }
+        if let Some(d) = f.state().first_difference(core.state()) {
+            diffs.push(format!("{what}: state {d}"));
+        }
+        if core.state().pc != f.state().pc || core.retired() != f.retired() {
+            diffs.push(format!("{what}: pc/retired"));
+        }
+        if core.instruction_mix() != f.instruction_mix() {
+            diffs.push(format!("{what}: mix"));
+        }
+    }
+    if e.lock().unwrap().counters() != f_acc.counters() {
+        diffs.push("energy: counters".to_string());
+    }
+    diffs
+}
+
+#[test]
+fn every_fused_pair_matches_functional_and_settles_its_faults() {
+    let table: Vec<String> = SimBuilder::new(&pair_loop("", None))
+        .build_threaded()
+        .fusion_profile()
+        .into_iter()
+        .map(|(pair, _, _)| pair)
+        .collect();
+    let covered: Vec<&str> = PAIR_BODIES.iter().map(|(pair, _)| *pair).collect();
+    assert_eq!(table, covered, "one body per table entry, in table order");
+
+    let mut failures = Vec::new();
+    for (pair, body) in PAIR_BODIES {
+        let p = pair_loop(body, None);
+        let mut sim = SimBuilder::new(&p).build_threaded();
+        // The outcome is compared below.
+        let _ = sim.run(1_000_000);
+        let profile = sim.fusion_profile();
+        let row = profile.iter().find(|(name, _, _)| name == pair).unwrap();
+        if row.1 == 0 || row.2 < 3 {
+            failures.push(format!("{pair}: did not fuse, {row:?}"));
+        }
+        for d in threaded_vs_functional(&p) {
+            failures.push(format!("{pair}: {d}"));
+        }
+        // A faulting LOAD/STORE component, first or second, settles the
+        // partial pair.
+        let (first, second) = pair.split_once('+').unwrap();
+        let memory = |m: &str| m == "LOAD" || m == "STORE";
+        for (component, base) in [(first, "t3"), (second, "t2")] {
+            if memory(component) {
+                let p = pair_loop(body, Some(base));
+                if functional(&p).0.is_ok() {
+                    failures.push(format!("{pair}: {component} did not fault"));
+                }
+                for d in threaded_vs_functional(&p) {
+                    failures.push(format!("{pair} with {component} faulting: {d}"));
+                }
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
 }

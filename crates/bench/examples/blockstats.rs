@@ -1,16 +1,24 @@
-//! Quick superblock statistics + threaded-vs-functional timing probe
-//! for the paper suite (a profiling aid; the canonical numbers come
-//! from `--bin report`).
+//! Superblock and fusion statistics plus a threaded-vs-functional
+//! timing probe (a profiling aid; the canonical numbers come from
+//! `--bin report`). Profiles every registered workload at its default
+//! size, then any `name=n` images given as arguments:
 //!
 //! ```sh
-//! cargo run --release -p art9-bench --example blockstats
+//! cargo run --release -p art9-bench --example blockstats -- \
+//!     dhrystone=2000 bubble-sort=48 gemm=7 nn-mlp=10
 //! ```
+//!
+//! One line per image: blocks, fused pairs, retired instructions, the
+//! share of them that retired inside fused pairs, and both backends'
+//! ns per instruction. Then one line per entry of the threaded
+//! backend's fusion table (`ThreadedSim::fusion_profile`): its static
+//! occurrences and whole-block executions, summed over the images.
 
 use std::time::Instant;
 
 use art9_bench::translate;
 use art9_sim::{Backend, Budget, Core, PredecodedProgram, SimBuilder};
-use workloads::paper_suite;
+use workloads::{by_name, WORKLOAD_NAMES};
 
 fn time_ns_per_instr(b: &SimBuilder, backend: Backend, instrs: u64) -> f64 {
     let run = || {
@@ -33,74 +41,52 @@ fn time_ns_per_instr(b: &SimBuilder, backend: Backend, instrs: u64) -> f64 {
     best
 }
 
-/// Mirrors the compiler's fusion predicate by mnemonic, to report
-/// which adjacent pairs stay unfused.
-fn fusible(a: &str, b: &str) -> bool {
-    matches!(
-        (a, b),
-        ("AND" | "OR" | "XOR" | "MV" | "ADD" | "SUB", "COMP")
-            | ("MV", "MV" | "ADDI")
-            | ("ADDI", "MV" | "ADDI")
-            | ("ADD", "ADD")
-            | ("SUB", "LI")
-            | ("LI", "SUB")
-            | ("ADD" | "ADDI" | "MV", "STORE" | "LOAD")
-            | ("LOAD", "LOAD" | "STORE" | "MV" | "COMP" | "ADD" | "ADDI")
-            | ("STORE", "LOAD" | "STORE" | "MV")
-            | ("COMP", "BEQ" | "BNE")
-    )
-}
-
 fn main() {
-    for w in paper_suite() {
+    let mut images: Vec<(String, Option<usize>)> = WORKLOAD_NAMES
+        .iter()
+        .map(|n| (n.to_string(), None))
+        .collect();
+    for arg in std::env::args().skip(1) {
+        let (name, n) = arg.split_once('=').expect("arguments are name=n");
+        images.push((name.to_string(), Some(n.parse().expect("n is a size"))));
+    }
+    let mut table: Vec<(String, usize, u64)> = Vec::new();
+    for (name, n) in &images {
+        let w = by_name(name, *n).unwrap_or_else(|| panic!("no workload {name} at {n:?}"));
         let t = translate(&w);
         let image = PredecodedProgram::new(&t.program);
         let b = SimBuilder::new(&image);
         let mut sim = b.build_threaded();
         sim.run_for(Budget::Steps(100_000_000)).unwrap();
         let blocks = sim.superblocks();
-        let static_instrs: usize = blocks.iter().map(|(_, l)| *l).sum();
-
-        // Greedy-fuse each block by mnemonic and count the leftover
-        // adjacent pairs — fusion candidates the compiler passes on.
-        let mn: Vec<&str> = t.program.text().iter().map(|i| i.mnemonic()).collect();
-        let mut leftovers: std::collections::BTreeMap<(String, String), usize> =
-            std::collections::BTreeMap::new();
-        for &(start, len) in &blocks {
-            let mut i = start;
-            let end = start + len;
-            while i < end {
-                if i + 1 < end && fusible(mn[i], mn[i + 1]) {
-                    i += 2;
-                    continue;
-                }
-                if i + 1 < end {
-                    *leftovers
-                        .entry((mn[i].to_string(), mn[i + 1].to_string()))
-                        .or_default() += 1;
-                }
-                i += 1;
-            }
+        let profile = sim.fusion_profile();
+        let in_pairs: u64 = profile.iter().map(|(_, _, executed)| 2 * executed).sum();
+        if table.is_empty() {
+            table = profile
+                .iter()
+                .map(|(pair, _, _)| (pair.clone(), 0, 0))
+                .collect();
         }
-        let mut lv: Vec<_> = leftovers.into_iter().collect();
-        lv.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
-        print!("{:<12} unfused:", w.name);
-        for ((a, b), c) in lv.iter().take(8) {
-            print!(" {a}+{b}x{c}");
+        for (row, (_, sites, executed)) in table.iter_mut().zip(&profile) {
+            row.1 += sites;
+            row.2 += executed;
         }
-        println!();
         let f_ns = time_ns_per_instr(&b, Backend::Functional, sim.retired());
         let t_ns = time_ns_per_instr(&b, Backend::Threaded, sim.retired());
+        let label = n.map_or(name.clone(), |n| format!("{name}={n}"));
         println!(
-            "{:<12} blocks {:>3} avg len {:>5.2} fused {:>3} retired {:>6} | fun {:>6.2} ns/i  thr {:>6.2} ns/i  ratio {:.2}x",
-            w.name,
+            "{label:<16} blocks {:>4} fused {:>3} retired {:>8} in pairs {:>5.1}% | fun {:>6.2} ns/i  thr {:>6.2} ns/i  ratio {:.2}x",
             blocks.len(),
-            static_instrs as f64 / blocks.len() as f64,
             sim.fused_pairs(),
             sim.retired(),
+            100.0 * in_pairs as f64 / sim.retired() as f64,
             f_ns,
             t_ns,
             f_ns / t_ns,
         );
+    }
+    println!("\n{:<12} {:>7} {:>12}", "pair", "static", "executed");
+    for (pair, sites, executed) in &table {
+        println!("{pair:<12} {sites:>7} {executed:>12}");
     }
 }
