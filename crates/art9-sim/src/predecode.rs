@@ -150,6 +150,13 @@ impl PredecodedProgram {
         h
     }
 
+    /// Whether the direct-threaded compilation of this image (shared
+    /// by all its clones) has been built — it is, once, by the first
+    /// threaded core built from the image.
+    pub fn threaded_compiled(&self) -> bool {
+        self.threaded.get().is_some()
+    }
+
     /// Shared handle to the instruction image (O(1) clone).
     pub(crate) fn text_arc(&self) -> Arc<[Instruction]> {
         Arc::clone(&self.text)

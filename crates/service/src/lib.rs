@@ -10,14 +10,17 @@
 //!
 //! * [`cache`] — one [`art9_sim::PredecodedProgram`] per distinct
 //!   program image, keyed by content hash, however many sessions
-//!   submit it.
+//!   submit it; the least recently used images beyond a fixed cap are
+//!   evicted.
 //! * [`session`] — the shared per-job handle (status, counters, event
 //!   ring, condvar) connections observe and workers update.
 //! * [`scheduler`] — per-worker run queues with work stealing; a
 //!   stolen session **migrates** between workers via
 //!   [`art9_sim::Checkpoint`] transfer (snapshot → rebuild from the
 //!   shared image → restore), the same invariant the `slice-migrate`
-//!   fuzz oracle checks differentially.
+//!   fuzz oracle checks differentially. Live sessions stay registered
+//!   until they finish; finished ones are kept up to a fixed cap,
+//!   oldest evicted first.
 //! * [`job`] / [`protocol`] — the wire-level job schema (built on
 //!   [`workloads::batch::ExecConfig`]) and request parsing.
 //! * [`server`] / [`client`] — std-only TCP endpoints (no async
@@ -42,13 +45,22 @@ pub mod scheduler;
 pub mod server;
 pub mod session;
 
-pub use cache::ImageCache;
+pub use cache::{ImageCache, IMAGE_CACHE_CAP};
 pub use client::Client;
 pub use job::{JobSource, JobSpec, DEFAULT_JOB_RETIRED};
-pub use scheduler::{Scheduler, SchedulerConfig};
+pub use scheduler::{Scheduler, SchedulerConfig, FINISHED_SESSION_CAP};
 pub use server::{Server, ServiceConfig};
 pub use session::{SessionHandle, SessionStatus};
 
 /// Protocol identifier sent in the `HELLO` response and checked by
 /// clients (version-gated, like the checkpoint format's magic line).
 pub const PROTOCOL: &str = "art9-service v1";
+
+/// Unwraps a lock or condvar result, recovering the guard when another
+/// thread panicked while holding the lock. What these locks guard
+/// (queues, maps, counters, session state) stays usable after such a
+/// panic, so one panicking thread must not take every later user of
+/// the lock down with it.
+pub(crate) fn recover<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

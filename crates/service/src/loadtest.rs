@@ -12,13 +12,16 @@ use std::io;
 use std::time::Instant;
 
 use crate::client::Client;
-use crate::scheduler::SchedulerConfig;
+use crate::scheduler::{SchedulerConfig, FINISHED_SESSION_CAP};
 use crate::server::{Server, ServiceConfig};
 
 /// Load-test parameters.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
-    /// Concurrent sessions to submit.
+    /// Concurrent sessions to submit, at most [`FINISHED_SESSION_CAP`]:
+    /// every session is submitted before the first `WAIT`, and fair
+    /// slicing finishes them at about the same time, so each must
+    /// still be retained when its `WAIT` comes.
     pub sessions: usize,
     /// Approximate retired instructions per session (the spin program
     /// is sized to the nearest achievable count at or above this).
@@ -157,9 +160,21 @@ fn size_spin(target: u64) -> (u64, u64, u64, u64) {
 ///
 /// # Errors
 ///
-/// I/O errors talking to the service; acceptance failures are
-/// reported in [`LoadReport::violations`], not as errors.
+/// `InvalidInput` when `config.sessions` exceeds
+/// [`FINISHED_SESSION_CAP`]; I/O errors talking to the service.
+/// Acceptance failures are reported in [`LoadReport::violations`], not
+/// as errors.
 pub fn run_against(addr: &str, config: &LoadConfig) -> io::Result<LoadReport> {
+    if config.sessions > FINISHED_SESSION_CAP {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "{} sessions exceed the {FINISHED_SESSION_CAP} finished sessions a \
+                 service retains for WAIT",
+                config.sessions
+            ),
+        ));
+    }
     let (mega, outer, inner, expected_retired) = size_spin(config.target_retired);
     let mut violations = Vec::new();
 
@@ -341,6 +356,19 @@ mod tests {
             hashes.insert(PredecodedProgram::new(&program).content_hash());
         }
         assert_eq!(hashes.len(), 4);
+    }
+
+    #[test]
+    fn loads_beyond_the_retention_cap_are_refused() {
+        let err = run_against(
+            "127.0.0.1:9",
+            &LoadConfig {
+                sessions: FINISHED_SESSION_CAP + 1,
+                ..LoadConfig::default()
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

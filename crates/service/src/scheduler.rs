@@ -18,8 +18,14 @@
 //! migrated run is bit-identical to a straight-line run). Observers
 //! (energy accounting) live in `Arc`s owned by the session's builder,
 //! so they survive rebuilds and keep accumulating across migrations.
+//!
+//! The session registry answers `session(id)` with one map lookup. A
+//! session stays registered while it is live; once it finishes it is
+//! kept among the [`FINISHED_SESSION_CAP`] most recently finished,
+//! then evicted, so what the scheduler keeps does not grow with the
+//! number of jobs it has served.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -30,7 +36,14 @@ use workloads::batch::ExecConfig;
 use workloads::{VerifyError, Workload, WorkloadError};
 
 use crate::job::PreparedJob;
-use crate::session::{SessionHandle, SessionResult};
+use crate::recover;
+use crate::session::{Outcome, SessionHandle, SessionResult};
+
+/// How many finished sessions the scheduler keeps answerable (for
+/// `STATUS`, `WAIT`, `RESULT`, `EVENTS`, `LIST`) before evicting the
+/// one that finished first. It must stay well above the number of
+/// sessions a client submits before it waits for them.
+pub const FINISHED_SESSION_CAP: usize = 1024;
 
 /// Scheduler tuning.
 #[derive(Debug, Clone)]
@@ -138,6 +151,49 @@ pub struct MetricsSnapshot {
     pub p50_slice_us: f64,
     /// 99th-percentile slice execution latency (µs).
     pub p99_slice_us: f64,
+    /// Sessions admitted since start.
+    pub sessions_total: u64,
+    /// Sessions admitted and not yet finished.
+    pub sessions_active: u64,
+    /// Finished sessions still answerable (at most
+    /// [`FINISHED_SESSION_CAP`]).
+    pub sessions_retained: u64,
+    /// Finished sessions evicted from the registry.
+    pub sessions_evicted: u64,
+}
+
+/// The sessions the scheduler can still answer for.
+#[derive(Debug, Default)]
+struct Registry {
+    /// Live sessions and retained finished ones, by id.
+    sessions: HashMap<u64, Arc<SessionHandle>>,
+    /// Ids of the retained finished sessions, in finishing order.
+    finished: VecDeque<u64>,
+    /// Sessions admitted so far; also the last id handed out.
+    admitted: u64,
+    evicted: u64,
+}
+
+impl Registry {
+    /// Registers a new session under the next id.
+    fn admit(&mut self, name: String, record_events: bool) -> Arc<SessionHandle> {
+        self.admitted += 1;
+        let handle = Arc::new(SessionHandle::new(self.admitted, name, record_events));
+        self.sessions.insert(handle.id, Arc::clone(&handle));
+        handle
+    }
+
+    /// Moves session `id` from the live set to the finished ones,
+    /// evicting the earliest finished session beyond the cap.
+    fn retire(&mut self, id: u64) {
+        self.finished.push_back(id);
+        if self.finished.len() > FINISHED_SESSION_CAP {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.sessions.remove(&oldest);
+                self.evicted += 1;
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -149,8 +205,7 @@ struct Shared {
     alarm: Condvar,
     stop: AtomicBool,
     quantum: u64,
-    next_id: AtomicU64,
-    sessions: Mutex<Vec<Arc<SessionHandle>>>,
+    registry: Mutex<Registry>,
     slices: AtomicU64,
     steals: AtomicU64,
     migrations: AtomicU64,
@@ -176,8 +231,7 @@ impl Scheduler {
             alarm: Condvar::new(),
             stop: AtomicBool::new(false),
             quantum: config.quantum.max(1),
-            next_id: AtomicU64::new(1),
-            sessions: Mutex::new(Vec::new()),
+            registry: Mutex::new(Registry::default()),
             slices: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             migrations: AtomicU64::new(0),
@@ -204,7 +258,6 @@ impl Scheduler {
     /// global injector. Returns immediately; the handle observes
     /// progress.
     pub fn submit(&self, job: PreparedJob) -> Arc<SessionHandle> {
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let mut builder = SimBuilder::new(&job.image)
             .backend(job.spec.config.backend)
             .forwarding(job.spec.config.forwarding);
@@ -216,7 +269,7 @@ impl Scheduler {
             builder = builder.observer(e.clone());
         }
         let core = builder.build();
-        let handle = Arc::new(SessionHandle::new(id, job.name, job.spec.events));
+        let handle = recover(self.shared.registry.lock()).admit(job.name, job.spec.events);
         let runnable = Runnable {
             handle: Arc::clone(&handle),
             builder,
@@ -227,42 +280,35 @@ impl Scheduler {
             energy,
             last_worker: None,
         };
-        self.shared
-            .sessions
-            .lock()
-            .expect("session registry lock")
-            .push(Arc::clone(&handle));
-        self.shared
-            .injector
-            .lock()
-            .expect("injector lock")
-            .push_back(runnable);
+        recover(self.shared.injector.lock()).push_back(runnable);
         self.shared.alarm.notify_all();
         handle
     }
 
-    /// The handle for session `id`.
+    /// The handle for session `id`, while it is live or among the
+    /// retained finished sessions; `None` for an unknown or evicted id.
     pub fn session(&self, id: u64) -> Option<Arc<SessionHandle>> {
-        self.shared
+        recover(self.shared.registry.lock())
             .sessions
-            .lock()
-            .expect("session registry lock")
-            .iter()
-            .find(|h| h.id == id)
+            .get(&id)
             .cloned()
     }
 
-    /// Every session ever admitted, in submission order.
+    /// The retained sessions — every live session and the last
+    /// [`FINISHED_SESSION_CAP`] finished ones — in submission order.
     pub fn sessions(&self) -> Vec<Arc<SessionHandle>> {
-        self.shared
+        let mut sessions: Vec<_> = recover(self.shared.registry.lock())
             .sessions
-            .lock()
-            .expect("session registry lock")
-            .clone()
+            .values()
+            .cloned()
+            .collect();
+        sessions.sort_unstable_by_key(|h| h.id);
+        sessions
     }
 
     /// Aggregate counters.
     pub fn metrics(&self) -> MetricsSnapshot {
+        let registry = recover(self.shared.registry.lock());
         MetricsSnapshot {
             workers: self.config.workers.max(1),
             quantum: self.shared.quantum,
@@ -271,6 +317,10 @@ impl Scheduler {
             migrations: self.shared.migrations.load(Ordering::Relaxed),
             p50_slice_us: self.shared.latency.quantile_us(0.50),
             p99_slice_us: self.shared.latency.quantile_us(0.99),
+            sessions_total: registry.admitted,
+            sessions_active: (registry.sessions.len() - registry.finished.len()) as u64,
+            sessions_retained: registry.finished.len() as u64,
+            sessions_evicted: registry.evicted,
         }
     }
 
@@ -279,12 +329,7 @@ impl Scheduler {
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.alarm.notify_all();
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .expect("worker registry lock")
-            .drain(..)
-            .collect();
+        let handles: Vec<_> = recover(self.workers.lock()).drain(..).collect();
         for worker in handles {
             let _ = worker.join();
         }
@@ -306,11 +351,8 @@ fn worker_loop(shared: &Shared, me: usize) {
                 // Nothing runnable anywhere: park until a submit or a
                 // re-queue, with a timeout bounding missed-wakeup
                 // staleness (and re-opening steal opportunities).
-                let guard = shared.park.lock().expect("park lock");
-                let _ = shared
-                    .alarm
-                    .wait_timeout(guard, Duration::from_millis(2))
-                    .expect("park lock");
+                let guard = recover(shared.park.lock());
+                let _ = recover(shared.alarm.wait_timeout(guard, Duration::from_millis(2)));
             }
         }
     }
@@ -319,16 +361,16 @@ fn worker_loop(shared: &Shared, me: usize) {
 /// Own queue (front) → injector (front) → steal (back of another
 /// worker's queue, scanning round-robin from `me + 1`).
 fn pop_work(shared: &Shared, me: usize) -> Option<Runnable> {
-    if let Some(job) = shared.queues[me].lock().expect("queue lock").pop_front() {
+    if let Some(job) = recover(shared.queues[me].lock()).pop_front() {
         return Some(job);
     }
-    if let Some(job) = shared.injector.lock().expect("injector lock").pop_front() {
+    if let Some(job) = recover(shared.injector.lock()).pop_front() {
         return Some(job);
     }
     let n = shared.queues.len();
     for offset in 1..n {
         let victim = (me + offset) % n;
-        if let Some(job) = shared.queues[victim].lock().expect("queue lock").pop_back() {
+        if let Some(job) = recover(shared.queues[victim].lock()).pop_back() {
             shared.steals.fetch_add(1, Ordering::Relaxed);
             return Some(job);
         }
@@ -336,13 +378,24 @@ fn pop_work(shared: &Shared, me: usize) -> Option<Runnable> {
     None
 }
 
-/// Runs one quantum of `runnable` on worker `me` and re-queues or
-/// finalizes it.
-fn run_slice(shared: &Shared, me: usize, mut runnable: Runnable) {
+/// Runs one quantum of `runnable` on worker `me` and re-queues it,
+/// or retires and finishes it once it has ended.
+fn run_slice(shared: &Shared, me: usize, runnable: Runnable) {
+    let handle = Arc::clone(&runnable.handle);
+    if let Some(outcome) = slice(shared, me, runnable) {
+        // Out of the live set before any waiter wakes, so a client
+        // whose `WAIT` returned no longer counts the session as active.
+        recover(shared.registry.lock()).retire(handle.id);
+        handle.finish(outcome);
+    }
+}
+
+/// One quantum of `runnable` on worker `me`: `None` when the session
+/// went back to `me`'s queue, otherwise how it ended.
+fn slice(shared: &Shared, me: usize, mut runnable: Runnable) -> Option<Outcome> {
     let handle = Arc::clone(&runnable.handle);
     if handle.cancel_requested() {
-        handle.finish_cancelled();
-        return;
+        return Some(Outcome::Cancelled);
     }
 
     // Arriving from a different worker (a steal, or first pickup from
@@ -352,8 +405,7 @@ fn run_slice(shared: &Shared, me: usize, mut runnable: Runnable) {
         let checkpoint = runnable.core.snapshot();
         let mut fresh = runnable.builder.build();
         if let Err(e) = fresh.restore(&checkpoint) {
-            handle.finish_failed(sim_error(&runnable, e));
-            return;
+            return Some(Outcome::Failed(sim_error(&runnable, e)));
         }
         runnable.core = fresh;
         handle.record_migration();
@@ -370,10 +422,7 @@ fn run_slice(shared: &Shared, me: usize, mut runnable: Runnable) {
 
     let summary = match summary {
         Ok(s) => s,
-        Err(e) => {
-            handle.finish_failed(sim_error(&runnable, e));
-            return;
-        }
+        Err(e) => return Some(Outcome::Failed(sim_error(&runnable, e))),
     };
 
     match summary.halt {
@@ -389,8 +438,7 @@ fn run_slice(shared: &Shared, me: usize, mut runnable: Runnable) {
                             detail: format!("verify: {e}"),
                         },
                     };
-                    handle.finish_failed(error);
-                    return;
+                    return Some(Outcome::Failed(error));
                 }
             }
             let state = runnable.core.state();
@@ -398,26 +446,27 @@ fn run_slice(shared: &Shared, me: usize, mut runnable: Runnable) {
             for (slot, word) in trf.iter_mut().zip(state.trf.iter()) {
                 *slot = word.to_i64();
             }
-            handle.finish_done(SessionResult {
+            Some(Outcome::Done(SessionResult {
                 halt,
                 retired: summary.retired,
                 trf,
                 mix: runnable.core.instruction_mix(),
                 flips: flips(&runnable),
                 verified: runnable.workload.is_some(),
-            });
+            }))
         }
         None if summary.retired >= runnable.max_retired => {
             let limit = runnable.max_retired;
-            handle.finish_failed(sim_error(&runnable, SimError::Timeout { limit }));
+            Some(Outcome::Failed(sim_error(
+                &runnable,
+                SimError::Timeout { limit },
+            )))
         }
         None => {
             handle.record_slice(summary.retired, me, flips(&runnable));
-            shared.queues[me]
-                .lock()
-                .expect("queue lock")
-                .push_back(runnable);
+            recover(shared.queues[me].lock()).push_back(runnable);
             shared.alarm.notify_one();
+            None
         }
     }
 }
@@ -425,7 +474,7 @@ fn run_slice(shared: &Shared, me: usize, mut runnable: Runnable) {
 /// Cumulative trit-flip count, when the session measures energy.
 fn flips(runnable: &Runnable) -> Option<u64> {
     runnable.energy.as_ref().map(|e| {
-        let totals = e.lock().expect("energy lock").totals();
+        let totals = recover(e.lock()).totals();
         totals.regfile + totals.tdm + totals.fetch + totals.alu
     })
 }

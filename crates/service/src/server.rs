@@ -344,17 +344,14 @@ fn stream_events(writer: &mut TcpStream, handle: &SessionHandle) -> io::Result<(
 
 fn write_metrics(writer: &mut TcpStream, shared: &ServerShared) -> io::Result<()> {
     let m = shared.scheduler.metrics();
-    let sessions = shared.scheduler.sessions();
-    let active = sessions
-        .iter()
-        .filter(|h| !h.view().status.is_terminal())
-        .count();
     let (hits, misses) = shared.cache.stats();
     writeln!(writer, "OK metrics")?;
     writeln!(writer, "workers {}", m.workers)?;
     writeln!(writer, "quantum {}", m.quantum)?;
-    writeln!(writer, "sessions-total {}", sessions.len())?;
-    writeln!(writer, "sessions-active {active}")?;
+    writeln!(writer, "sessions-total {}", m.sessions_total)?;
+    writeln!(writer, "sessions-active {}", m.sessions_active)?;
+    writeln!(writer, "sessions-retained {}", m.sessions_retained)?;
+    writeln!(writer, "sessions-evicted {}", m.sessions_evicted)?;
     writeln!(writer, "slices {}", m.slices)?;
     writeln!(writer, "steals {}", m.steals)?;
     writeln!(writer, "migrations {}", m.migrations)?;
@@ -363,5 +360,6 @@ fn write_metrics(writer: &mut TcpStream, shared: &ServerShared) -> io::Result<()
     writeln!(writer, "cache-images {}", shared.cache.len())?;
     writeln!(writer, "cache-hits {hits}")?;
     writeln!(writer, "cache-misses {misses}")?;
+    writeln!(writer, "cache-evictions {}", shared.cache.evictions())?;
     writeln!(writer, "end")
 }

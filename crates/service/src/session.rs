@@ -13,6 +13,8 @@ use std::sync::{Condvar, Mutex};
 use art9_sim::HaltReason;
 use workloads::WorkloadError;
 
+use crate::recover;
+
 /// Cap on the per-session event ring; the oldest events are dropped
 /// first once a slow `EVENTS` consumer falls this far behind.
 pub const EVENT_RING_CAP: usize = 256;
@@ -90,6 +92,18 @@ pub struct SessionResult {
     /// Whether the output region was checked against a golden
     /// reference (workload jobs; inline programs have none).
     pub verified: bool,
+}
+
+/// How a session ended: the terminal [`SessionStatus`] plus, for a
+/// halted program, its final machine state.
+#[derive(Debug)]
+pub(crate) enum Outcome {
+    /// The program halted.
+    Done(SessionResult),
+    /// The job failed at run time.
+    Failed(WorkloadError),
+    /// A client cancelled the job.
+    Cancelled,
 }
 
 /// A point-in-time copy of a session's observable counters.
@@ -174,7 +188,7 @@ impl SessionHandle {
     pub fn wait(&self) -> SessionStatus {
         let mut inner = self.lock();
         while !inner.status.is_terminal() {
-            inner = self.changed.wait(inner).expect("session lock");
+            inner = recover(self.changed.wait(inner));
         }
         inner.status.clone()
     }
@@ -186,10 +200,7 @@ impl SessionHandle {
     pub fn next_events(&self, timeout: std::time::Duration) -> (Vec<SessionEvent>, bool) {
         let mut inner = self.lock();
         if inner.events.is_empty() && !inner.status.is_terminal() {
-            (inner, _) = self
-                .changed
-                .wait_timeout(inner, timeout)
-                .expect("session lock");
+            (inner, _) = recover(self.changed.wait_timeout(inner, timeout));
         }
         let events = inner.events.drain(..).collect();
         (events, inner.status.is_terminal())
@@ -240,31 +251,24 @@ impl SessionHandle {
         self.changed.notify_all();
     }
 
-    pub(crate) fn finish_done(&self, result: SessionResult) {
+    /// Moves the session to its terminal state and wakes every waiter.
+    pub(crate) fn finish(&self, outcome: Outcome) {
         let mut inner = self.lock();
-        inner.retired = result.retired;
-        inner.status = SessionStatus::Done;
-        inner.result = Some(result);
-        drop(inner);
-        self.changed.notify_all();
-    }
-
-    pub(crate) fn finish_failed(&self, error: WorkloadError) {
-        let mut inner = self.lock();
-        inner.status = SessionStatus::Failed(error);
-        drop(inner);
-        self.changed.notify_all();
-    }
-
-    pub(crate) fn finish_cancelled(&self) {
-        let mut inner = self.lock();
-        inner.status = SessionStatus::Cancelled;
+        inner.status = match outcome {
+            Outcome::Done(result) => {
+                inner.retired = result.retired;
+                inner.result = Some(result);
+                SessionStatus::Done
+            }
+            Outcome::Failed(error) => SessionStatus::Failed(error),
+            Outcome::Cancelled => SessionStatus::Cancelled,
+        };
         drop(inner);
         self.changed.notify_all();
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("session lock")
+        recover(self.inner.lock())
     }
 }
 
@@ -283,7 +287,7 @@ mod tests {
         };
         h.mark_running(0);
         h.record_slice(100, 0, None);
-        h.finish_cancelled();
+        h.finish(Outcome::Cancelled);
         assert_eq!(waiter.join().unwrap(), SessionStatus::Cancelled);
         assert!(h.view().status.is_terminal());
     }
@@ -305,12 +309,30 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_under_the_lock_does_not_reach_later_users() {
+        let h = Arc::new(SessionHandle::new(4, "inline".into(), false));
+        let poisoner = Arc::clone(&h);
+        let died = std::thread::spawn(move || {
+            let _guard = poisoner.inner.lock().unwrap();
+            panic!("a thread dies holding the session lock");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(h.inner.is_poisoned());
+        // Workers and connections carry on with the recovered state.
+        h.record_slice(10, 0, None);
+        h.finish(Outcome::Cancelled);
+        assert_eq!(h.wait(), SessionStatus::Cancelled);
+        assert_eq!(h.view().retired, 10);
+    }
+
+    #[test]
     fn cancel_is_sticky_until_terminal() {
         let h = SessionHandle::new(3, "inline".into(), false);
         assert!(!h.cancel_requested());
         h.request_cancel();
         assert!(h.cancel_requested());
-        h.finish_cancelled();
+        h.finish(Outcome::Cancelled);
         assert_eq!(h.view().status, SessionStatus::Cancelled);
         assert_eq!(h.view().status.token(), "cancelled");
     }

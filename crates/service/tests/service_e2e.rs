@@ -163,6 +163,39 @@ fn protocol_errors_are_diagnosed_not_fatal() {
 }
 
 #[test]
+fn requests_for_unknown_sessions_answer_one_err_line() {
+    let mut server = start_server(1, 1_000);
+    let addr = server.local_addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+
+    // An id never admitted reads like an evicted one: one ERR line per
+    // request, and the next request's reply is its own.
+    for command in ["STATUS", "WAIT", "RESULT", "EVENTS", "CANCEL"] {
+        let reply = client.command(&format!("{command} 999")).unwrap();
+        assert_eq!(reply, "ERR no session 999", "{command}");
+        assert_eq!(client.command("HELLO").unwrap(), "OK art9-service v1");
+    }
+
+    // The connection still runs a job, and METRICS counts it as
+    // admitted, finished and retained.
+    let id = client.submit_inline(SPIN, "").unwrap();
+    assert_eq!(client.wait(id).unwrap().state, "done");
+    let metrics = client.metrics().unwrap();
+    for (key, value) in [
+        ("sessions-total", "1"),
+        ("sessions-active", "0"),
+        ("sessions-retained", "1"),
+        ("sessions-evicted", "0"),
+        ("cache-images", "1"),
+        ("cache-evictions", "0"),
+    ] {
+        assert_eq!(metrics.get(key).map(String::as_str), Some(value), "{key}");
+    }
+
+    server.shutdown();
+}
+
+#[test]
 fn out_of_range_workload_sizes_are_refused_and_the_connection_survives() {
     let mut server = start_server(1, 1_000);
     let addr = server.local_addr().to_string();
